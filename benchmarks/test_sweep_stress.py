@@ -1,12 +1,10 @@
 """Benchmark the simulator hot paths on the paper's 120-core machine.
 
-Times the sweep-stress microbench with the active-state index on and off
-(the indexed run must be at least 2x faster), the engine-stress microbench
-with the timer wheel on and off (identical event order, wheel faster), and
-the invalidate-stress microbench with the per-pcid TLB index on and off
-(identical final state, at least 2x faster) -- the same gates the
-wall-clock harness records in BENCH_*.json. The sweep-stress case is also
-held to >= 3x the events/sec of the committed pre-wheel baseline.
+Holds the sweep-stress microbench to >= 3x the events/sec of the committed
+pre-wheel baseline, times the engine-stress microbench on the timer wheel
+against the heap a choice hook forces (identical event order, wheel
+faster), and holds the invalidate-stress microbench to an absolute ops/s
+floor.
 """
 
 import gc
@@ -19,32 +17,11 @@ import time
 BASELINE_FILE = "BENCH_20260806-190159.json"
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-
-def test_sweep_stress_index_speedup(benchmark):
-    from repro.bench import SWEEP_STRESS_MS, run_sweep_stress
-
-    started = time.perf_counter()
-    full_summary = run_sweep_stress(SWEEP_STRESS_MS, use_sweep_index=False)
-    full_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    indexed_summary = benchmark.pedantic(
-        run_sweep_stress,
-        args=(SWEEP_STRESS_MS,),
-        kwargs={"use_sweep_index": True},
-        rounds=1,
-        iterations=1,
-    )
-    indexed_wall = time.perf_counter() - started
-
-    print(
-        f"\nsweep-stress-120c: indexed {indexed_wall:.2f}s, "
-        f"full scan {full_wall:.2f}s, speedup {full_wall / indexed_wall:.2f}x"
-    )
-    assert indexed_summary == full_summary, "index changed a modelled result"
-    assert full_wall >= 2.0 * indexed_wall, (
-        f"sweep index speedup below 2x: {full_wall / indexed_wall:.2f}x"
-    )
+#: Twice the linear-scan TLB's rate in the committed
+#: BENCH_20260806-205227.json (70.5k ops/s indexed at a 4.61x speedup over
+#: the scan, i.e. 15.3k ops/s scanning): the per-pcid index must keep at
+#: least the 2x advantage it was gated on.
+INVALIDATE_MIN_OPS_PER_SEC = 30_000.0
 
 
 def test_sweep_stress_beats_prewheel_baseline():
@@ -65,7 +42,7 @@ def test_sweep_stress_beats_prewheel_baseline():
         gc.collect()
         events_before = Simulator.total_events_executed
         started = time.perf_counter()
-        run_sweep_stress(SWEEP_STRESS_MS, use_sweep_index=True)
+        run_sweep_stress(SWEEP_STRESS_MS)
         wall = time.perf_counter() - started
         events = Simulator.total_events_executed - events_before
         best_eps = max(best_eps, events / wall)
@@ -80,21 +57,19 @@ def test_sweep_stress_beats_prewheel_baseline():
 
 
 def test_engine_stress_wheel_speedup(benchmark):
-    """Timer wheel vs binary heap on pure event-loop churn: byte-identical
-    (time, seq) execution order, and the wheel must not be slower."""
+    """Timer wheel vs the choice-hook heap on pure event-loop churn:
+    byte-identical (time, seq) execution order, and the wheel must not be
+    slower."""
     from repro.bench import ENGINE_STRESS_EVENTS, run_engine_stress
 
     started = time.perf_counter()
-    _sim, heap_order = run_engine_stress(
-        ENGINE_STRESS_EVENTS, use_timer_wheel=False, record_order=True
-    )
+    _sim, heap_order = run_engine_stress(ENGINE_STRESS_EVENTS, heap=True)
     heap_wall = time.perf_counter() - started
 
     started = time.perf_counter()
     _sim, wheel_order = benchmark.pedantic(
         run_engine_stress,
         args=(ENGINE_STRESS_EVENTS,),
-        kwargs={"use_timer_wheel": True, "record_order": True},
         rounds=1,
         iterations=1,
     )
@@ -110,30 +85,31 @@ def test_engine_stress_wheel_speedup(benchmark):
     )
 
 
-def test_invalidate_stress_index_speedup(benchmark):
-    """Per-pcid TLB index vs linear scan: identical final TLB state, and
-    the indexed run must be at least 2x faster."""
+def test_invalidate_stress_ops_floor(benchmark):
+    """Per-pcid TLB index under the fill/invalidate_range/flush mix: at
+    least INVALIDATE_MIN_OPS_PER_SEC (best of three, timing is noisy)."""
     from repro.bench import INVALIDATE_STRESS_OPS, run_invalidate_stress
 
+    best_wall = float("inf")
+    for _ in range(2):
+        gc.collect()
+        started = time.perf_counter()
+        run_invalidate_stress(INVALIDATE_STRESS_OPS)
+        best_wall = min(best_wall, time.perf_counter() - started)
     started = time.perf_counter()
-    scan_result = run_invalidate_stress(INVALIDATE_STRESS_OPS, use_index=False)
-    scan_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    indexed_result = benchmark.pedantic(
+    benchmark.pedantic(
         run_invalidate_stress,
         args=(INVALIDATE_STRESS_OPS,),
-        kwargs={"use_index": True},
         rounds=1,
         iterations=1,
     )
-    indexed_wall = time.perf_counter() - started
+    best_wall = min(best_wall, time.perf_counter() - started)
+    ops_per_sec = INVALIDATE_STRESS_OPS / best_wall
 
     print(
-        f"\ninvalidate-stress: indexed {indexed_wall:.2f}s, "
-        f"scan {scan_wall:.2f}s, speedup {scan_wall / indexed_wall:.2f}x"
+        f"\ninvalidate-stress: {ops_per_sec:,.0f} ops/s "
+        f"(floor {INVALIDATE_MIN_OPS_PER_SEC:,.0f})"
     )
-    assert indexed_result == scan_result, "TLB index changed observable state"
-    assert scan_wall >= 2.0 * indexed_wall, (
-        f"TLB index speedup below 2x: {scan_wall / indexed_wall:.2f}x"
+    assert ops_per_sec >= INVALIDATE_MIN_OPS_PER_SEC, (
+        f"invalidate-stress below floor: {ops_per_sec:,.0f} ops/s"
     )

@@ -70,13 +70,7 @@ def build_system(
     pcid: bool = False,
     seed: int = 1,
     frames_per_node: Optional[int] = None,
-    use_timer_wheel: Optional[bool] = None,
-    use_tlb_index: Optional[bool] = None,
-    gate_latencies: Optional[bool] = None,
-    use_batched_faults: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     **mechanism_kwargs,
 ) -> System:
@@ -89,58 +83,30 @@ def build_system(
         pcid: enable PCID-tagged TLBs (paper section 4.5).
         seed: deterministic RNG seed for workloads.
         frames_per_node: physical memory size override (frames).
-        use_timer_wheel: engine escape hatch -- False routes every event
-            through the plain heap instead of the timer wheel (default on).
-        use_tlb_index: TLB escape hatch -- False keeps the linear-scan
-            invalidation paths (default on).
-        gate_latencies: stats escape hatch -- False keeps the historical
-            record-from-t=0 latency recorders instead of gating them on
-            the measurement window (default gated).
-        use_batched_faults: syscall escape hatch -- False routes
-            ``touch_pages`` through the per-page generic access path
-            instead of the batched fault handler (default batched).
         use_pt_replication: NUMA page-table placement modelling
             (numaPTE) -- None asks the mechanism (only "numapte" wants
             it); True charges hop-aware walk latency (and, under the
             numapte policy, replicates tables per node); False keeps the
             flat single-table model bit-identically.
-        use_packed_tlb: TLB representation escape hatch -- False keeps
-            the tuple-keyed ``TlbEntry`` object model instead of the
-            packed int-slot layout (default packed).
-        use_frame_slabs: frame allocator escape hatch -- False frees
-            frames one ``put`` at a time instead of through the batched
-            slab path (default slabs).
         use_virtualization: two-level (EPT/NPT) translation -- True makes
             processes VM tasks with gPA->hPA host tables, 2D walk costs,
             and host-level invalidation on free (policy chosen by the
             mechanism's ``host_invalidation`` attribute); False/None keeps
             the flat single-level model byte-identically.
         mechanism_kwargs: forwarded to the mechanism constructor (e.g.
-            ``queue_depth=`` for LATR ablations, ``use_soa_states=`` for
-            the LATR queue representation).
+            ``queue_depth=`` for LATR ablations).
     """
     spec = preset(machine) if isinstance(machine, str) else machine
     if cores is not None:
         spec = spec.with_cores(cores)
-    sim = Simulator(use_timer_wheel=use_timer_wheel)
+    sim = Simulator()
     mech = make_mechanism(mechanism, **mechanism_kwargs)
-    hw = Machine(
-        sim,
-        spec,
-        pcid_enabled=pcid,
-        use_tlb_index=use_tlb_index,
-        gate_latencies=gate_latencies,
-        use_packed_tlb=use_packed_tlb,
-    )
+    hw = Machine(sim, spec, pcid_enabled=pcid)
     kwargs = {}
     if frames_per_node is not None:
         kwargs["frames_per_node"] = frames_per_node
-    if use_batched_faults is not None:
-        kwargs["use_batched_faults"] = use_batched_faults
     if use_pt_replication is not None:
         kwargs["use_pt_replication"] = use_pt_replication
-    if use_frame_slabs is not None:
-        kwargs["use_frame_slabs"] = use_frame_slabs
     if use_virtualization is not None:
         kwargs["use_virtualization"] = use_virtualization
     kernel = Kernel(hw, mech, seed=seed, **kwargs)

@@ -8,21 +8,17 @@ per-case wall-clock and simulator events/sec. Each run is compared against
 the most recent previous ``BENCH_*.json`` so perf regressions fail loudly
 (``--check-regression`` turns a regression into a non-zero exit).
 
-The sweep-stress case runs twice on the paper's 8-socket/120-core machine:
-once with the LATR active-state index (the default) and once with the
-original full O(cores x queue_depth) scan (``use_sweep_index=False``). The
-JSON records both wall-clocks and the speedup, and the two legs' complete
-``StatsRegistry.summary()`` dicts are asserted identical -- the index must
-never change a modelled result.
+The sweep-stress case times the LATR sweep on the paper's
+8-socket/120-core machine: every core sweeps every tick while a trickle
+of munmaps keeps states live.
 
-Two engine microbenches time the simulator-core optimisations against
-their escape hatches on identical schedules (shared deterministic
-xorshift RNG): **engine-stress** runs periodic + one-shot churn with
-``use_timer_wheel`` on vs off, asserting the ``(time, seq)`` execution
-orders match and recording ``speedup_vs_heap``; **invalidate-stress**
-replays a fill/invalidate_range/flush mix with ``use_tlb_index`` on vs
-off, asserting dropped-counts, entries and ``stats()`` match and
-recording ``speedup_vs_scan``. A mismatch fails the bench.
+Two engine microbenches time the simulator core on deterministic
+schedules (shared xorshift RNG): **engine-stress** runs periodic +
+one-shot churn on the timer wheel and replays it through the plain heap a
+``choice_hook`` forces, asserting the ``(time, seq)`` execution orders
+match (``order_match``) and recording ``speedup_vs_heap``;
+**invalidate-stress** replays a fill/invalidate_range/flush mix against a
+bare TLB. An order mismatch fails the bench.
 
 The mc-snapshot case runs one exhaustive model-checker exploration twice:
 backtracking via executor ``fork()``/``restore()`` snapshots (the default)
@@ -33,23 +29,16 @@ reach the same verdict, node count and canonical state-hash set
 silently falling back to replay fails the bench.
 
 The openloop-stress case runs the open-loop service workload (the ``slo``
-experiment's engine) on the 120-core box twice: with the batched
-``touch_pages`` fault path (the default) and with the per-page generic
-path (``use_batched_faults=False``). The legs' metrics and counters must
-be identical (``tables_match``), and the batched leg must clear an
-absolute simulator-throughput floor, ``OPENLOOP_MIN_EVENTS_PER_SEC``
+experiment's engine) on the 120-core box and must clear an absolute
+simulator-throughput floor, ``OPENLOOP_MIN_EVENTS_PER_SEC``
 (``events_floor_ok``) -- best-of up to ``OPENLOOP_FLOOR_ROUNDS`` timing
 rounds, since absolute rates swing with host phase.
 
 The fleet-stress case lights up the dormant 16-socket/960-core fleet
 spec: many concurrent drivers churn mmap/touch/remote-touch/munmap so
-every tick all 960 cores sweep a long LATR active-state list. It runs
-twice -- the packed hot-state representations (SoA state queues, packed
-TLB slots, slab frame frees: the defaults) and the object model (all
-three escape hatches off) -- asserting the complete stats summaries are
-identical (``tables_match``) and gating the packed leg on an absolute
-events/s floor (``events_floor_ok``) plus a minimum speedup over the
-object leg (``packed_speedup_ok``).
+every tick all 960 cores sweep a long LATR active-state list. It is gated
+on an absolute events/s floor (``events_floor_ok``), best-of up to
+``FLEET_FLOOR_ROUNDS`` timing rounds.
 
 The all-fast-parallel case (full suite only) runs every registered
 experiment in fast mode twice -- serially, then with the run cells sharded
@@ -69,9 +58,7 @@ JSON format (one file per run)::
         "fig6-fast": {"wall_s": 0.21, "events": 412345, "events_per_sec": 1.9e6},
         ...,
         "sweep-stress-120c": {
-          "wall_s": 1.8, "events": ..., "events_per_sec": ...,
-          "full_scan_wall_s": 9.4, "speedup_vs_full_scan": 5.2,
-          "stats_match": true
+          "wall_s": 1.8, "events": ..., "events_per_sec": ..., "sim_ms": 60
         }
       },
       "comparison": {"previous": "BENCH_...json", "regressions": []}
@@ -93,22 +80,21 @@ DEFAULT_THRESHOLD_PCT = 25.0
 SCHEMA_VERSION = 1
 
 #: Simulated milliseconds the sweep-stress microbench runs for. Long enough
-#: that tick sweeps dominate the one-off machine-build cost, so the indexed
-#: vs full-scan wall-clock ratio reflects the sweep hot path.
+#: that tick sweeps dominate the one-off machine-build cost, so the
+#: wall-clock reflects the sweep hot path.
 SWEEP_STRESS_MS = 60
 SWEEP_STRESS_MS_QUICK = 20
 
 #: Events the engine-stress microbench executes (pure Simulator churn:
 #: periodic timers plus one-shot schedules at mixed horizons, with
-#: cancellations). Run twice -- timer wheel on and off -- and the two legs'
-#: (time, seq) execution orders must be identical.
+#: cancellations). Run twice -- on the timer wheel and through the heap a
+#: choice hook forces -- and the two legs' (time, seq) execution orders
+#: must be identical.
 ENGINE_STRESS_EVENTS = 120_000
 ENGINE_STRESS_EVENTS_QUICK = 30_000
 
 #: Operations the invalidate-stress microbench performs against a bare Tlb
-#: (fills across many PCIDs, range invalidations, per-PCID flushes). Run
-#: twice -- per-pcid index on and off -- and the two legs' drop counts,
-#: surviving entries, and counter stats must be identical.
+#: (fills across many PCIDs, range invalidations, per-PCID flushes).
 INVALIDATE_STRESS_OPS = 6_000
 INVALIDATE_STRESS_OPS_QUICK = 1_500
 
@@ -157,13 +143,10 @@ OPENLOOP_FLOOR_ROUNDS = 8
 #: Fixed scope of the fleet-stress microbench: the 16-socket/960-core
 #: fleet spec under many concurrent mmap/touch/remote-touch/munmap
 #: drivers, so every tick all 960 cores sweep a long active-state list
-#: while the TLB fill/invalidate and frame alloc/free paths churn. This
-#: is the load the packed hot state exists for: the same case runs twice,
-#: once with the packed representations (SoA LATR queues, int-encoded TLB
-#: slots, slab frame frees -- the defaults) and once with all three
-#: escape hatches off (the object model), and the two legs' complete
-#: ``StatsRegistry.summary()`` dicts must be identical. Quick and full
-#: runs share the scope so their baselines compare.
+#: while the TLB fill/invalidate and frame alloc/free paths churn -- the
+#: load the packed hot state (SoA LATR queues, int-encoded TLB slots,
+#: batched frame frees) exists for. Quick and full runs share the scope so
+#: their baselines compare.
 FLEET_STRESS_SCOPE = dict(
     machine="fleet-16s960c",
     drivers=96,
@@ -172,15 +155,11 @@ FLEET_STRESS_SCOPE = dict(
     duration_ms=8,
 )
 
-#: Required events/s advantage of the packed leg over the object-model
-#: leg at 960 cores, and the packed leg's absolute simulator-throughput
-#: floor. The sweep at this scale is list-indexed bitmask tests over the
-#: queues' parallel arrays with tabled pull costs and one batched LLC
-#: traffic add per sweep; the object model pays per-state sets, property
-#: calls and per-pull bound-method dispatch. Absolute rates swing with
-#: host phase, so the case times up to FLEET_FLOOR_ROUNDS packed rounds
-#: and gates on the best.
-FLEET_MIN_SPEEDUP = 1.5
+#: The fleet-stress case's absolute simulator-throughput floor. The sweep
+#: at this scale is list-indexed bitmask tests over the queues' parallel
+#: arrays with tabled pull costs and one batched LLC traffic add per sweep.
+#: Absolute rates swing with host phase, so the case times up to
+#: FLEET_FLOOR_ROUNDS rounds and gates on the best.
 FLEET_MIN_EVENTS_PER_SEC = 20_000.0
 FLEET_FLOOR_ROUNDS = 6
 
@@ -244,27 +223,22 @@ def _timed(fn: Callable[[], object], rounds: int = 1) -> Tuple[float, int, objec
 # ---------------------------------------------------------------------------
 
 
-def run_sweep_stress(
-    duration_ms: int = SWEEP_STRESS_MS,
-    use_sweep_index: bool = True,
-    machine: str = "large-numa-8s120c",
+def _trickle_stress(
+    mechanism: str, duration_ms: int, machine: str, **build_kwargs
 ) -> Dict[str, object]:
-    """Tick-dominated load on the big box: a task pinned to every core (so
-    every core sweeps every tick) while core 0 keeps a trickle of munmaps
-    posting LATR states that a scatter of remote cores has cached. Returns
-    the final ``StatsRegistry.summary()`` so callers can assert the indexed
-    and full-scan runs are modelled identically."""
+    """A task pinned to every core (so every core sweeps every tick) while
+    core 0 keeps a trickle of mmap / write / munmap going, each range first
+    read by a rotating scatter of remote cores. Returns the final
+    ``StatsRegistry.summary()``."""
     from . import build_system
     from .mm.addr import PAGE_SIZE
     from .sim.engine import MSEC, AllOf, Timeout
 
-    system = build_system(
-        "latr", machine=machine, seed=7, use_sweep_index=use_sweep_index
-    )
+    system = build_system(mechanism, machine=machine, seed=7, **build_kwargs)
     kernel = system.kernel
     cores = kernel.machine.cores
-    proc = kernel.create_process("sweep-stress")
-    tasks = [kernel.spawn_thread(proc, f"ss.t{core.id}", core.id) for core in cores]
+    proc = kernel.create_process("trickle-stress")
+    tasks = [kernel.spawn_thread(proc, f"ts.t{core.id}", core.id) for core in cores]
 
     def touch(task, vrange):
         core = kernel.machine.core(task.home_core_id)
@@ -281,7 +255,7 @@ def run_sweep_stress(
             # kept small so sweeps (not touches) dominate the wall-clock.
             remote = [tasks[(rep * 7 + i * 15 + 1) % len(tasks)] for i in range(4)]
             spawned = [
-                system.sim.spawn(touch(task, vrange), name=f"ss.touch{task.tid}")
+                system.sim.spawn(touch(task, vrange), name=f"ts.touch{task.tid}")
                 for task in remote
             ]
             yield AllOf(spawned)
@@ -289,30 +263,27 @@ def run_sweep_stress(
             rep += 1
             yield Timeout(MSEC)
 
-    system.sim.spawn(driver(), name="sweep-stress-driver")
+    system.sim.spawn(driver(), name="trickle-stress-driver")
     system.sim.run(until=duration_ms * MSEC)
     return kernel.stats.summary()
 
 
+def run_sweep_stress(
+    duration_ms: int = SWEEP_STRESS_MS, machine: str = "large-numa-8s120c"
+) -> Dict[str, object]:
+    """Tick-dominated LATR load on the big box: every core sweeps every
+    tick while core 0's munmaps post states that remote cores have
+    cached."""
+    return _trickle_stress("latr", duration_ms, machine)
+
+
 def _sweep_stress_case(duration_ms: int) -> CaseResult:
-    """Time both legs; report the indexed leg as the case proper and the
-    full scan as its recorded pre-index baseline."""
-    wall_idx, events_idx, summary_idx = _timed(
-        lambda: run_sweep_stress(duration_ms, use_sweep_index=True), rounds=3
-    )
-    wall_full, _events_full, summary_full = _timed(
-        lambda: run_sweep_stress(duration_ms, use_sweep_index=False), rounds=2
-    )
+    wall, events, _summary = _timed(lambda: run_sweep_stress(duration_ms), rounds=3)
     return CaseResult(
         name="sweep-stress-120c",
-        wall_s=wall_idx,
-        events=events_idx,
-        extra={
-            "sim_ms": duration_ms,
-            "full_scan_wall_s": round(wall_full, 4),
-            "speedup_vs_full_scan": round(wall_full / wall_idx, 2) if wall_idx > 0 else 0.0,
-            "stats_match": summary_idx == summary_full,
-        },
+        wall_s=wall,
+        events=events,
+        extra={"sim_ms": duration_ms},
     )
 
 
@@ -326,48 +297,14 @@ def run_pt_replication_stress(
     replicated: bool = True,
     machine: str = "large-numa-8s120c",
 ) -> Dict[str, object]:
-    """Sweep-stress-shaped load through the numaPTE facade: core 0 keeps a
-    trickle of mmaps/munmaps (each fanning out to every live replica when
-    replication is on) while a rotating scatter of remote-socket cores
-    touches the fresh range (each first touch a hardware walk, local under
-    replication). ``replicated=False`` is the single-table leg of the
-    wall-clock comparison: same mechanism, same op sequence, facade never
-    built."""
-    from . import build_system
-    from .mm.addr import PAGE_SIZE
-    from .sim.engine import MSEC, AllOf, Timeout
-
-    system = build_system(
-        "numapte", machine=machine, seed=7, use_pt_replication=replicated
+    """The sweep-stress load through the numaPTE facade: each mmap/munmap
+    fans out to every live replica when replication is on, and each remote
+    first touch is a hardware walk (local under replication).
+    ``replicated=False`` is the single-table leg of the wall-clock
+    comparison: same mechanism, same op sequence, facade never built."""
+    return _trickle_stress(
+        "numapte", duration_ms, machine, use_pt_replication=replicated
     )
-    kernel = system.kernel
-    cores = kernel.machine.cores
-    proc = kernel.create_process("pt-repl-stress")
-    tasks = [kernel.spawn_thread(proc, f"pr.t{core.id}", core.id) for core in cores]
-
-    def touch(task, vrange):
-        core = kernel.machine.core(task.home_core_id)
-        yield from kernel.syscalls.touch_pages(task, core, vrange, write=False)
-
-    def driver():
-        t0, c0 = tasks[0], kernel.machine.core(0)
-        rep = 0
-        while True:
-            vrange = yield from kernel.syscalls.mmap(t0, c0, 4 * PAGE_SIZE)
-            yield from kernel.syscalls.touch_pages(t0, c0, vrange, write=True)
-            remote = [tasks[(rep * 7 + i * 15 + 1) % len(tasks)] for i in range(4)]
-            spawned = [
-                system.sim.spawn(touch(task, vrange), name=f"pr.touch{task.tid}")
-                for task in remote
-            ]
-            yield AllOf(spawned)
-            yield from kernel.syscalls.munmap(t0, c0, vrange)
-            rep += 1
-            yield Timeout(MSEC)
-
-    system.sim.spawn(driver(), name="pt-repl-stress-driver")
-    system.sim.run(until=duration_ms * MSEC)
-    return kernel.stats.summary()
 
 
 #: Replicated-walk bookkeeping budget: the facade (mirrored mutations,
@@ -442,7 +379,7 @@ def _pt_replication_case(duration_ms: int) -> CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# The engine-stress microbench (timer wheel vs plain heap)
+# The engine-stress microbench (timer wheel vs the choice-hook heap)
 # ---------------------------------------------------------------------------
 
 
@@ -457,23 +394,19 @@ def _xorshift(state: List[int]) -> int:
     return x
 
 
-def run_engine_stress(
-    n_events: int = ENGINE_STRESS_EVENTS,
-    use_timer_wheel: bool = True,
-    record_order: bool = False,
-):
+def run_engine_stress(n_events: int = ENGINE_STRESS_EVENTS, heap: bool = False):
     """Pure event-loop churn, no kernel model: eight periodic generators
     keep scheduling one-shot timers whose delays are spread across the
     wheel's three placement regimes (current slot, in-horizon bucket,
     overflow heap) and cancel a deterministic subset. Returns
-    ``(simulator, order_log)``; the order log (when recorded) is the
-    executed ``(time, seq)`` sequence, which must not depend on
-    ``use_timer_wheel``."""
+    ``(simulator, order_log)``; the order log is the executed
+    ``(time, seq)`` sequence, which must not depend on ``heap``
+    (True dispatches through a front-first choice hook, which forces the
+    plain heap)."""
     from .sim.engine import Simulator
 
-    sim = Simulator(use_timer_wheel=use_timer_wheel)
-    if record_order:
-        sim.order_log = []
+    sim = Simulator(choice_hook=(lambda ready: 0) if heap else None)
+    sim.order_log = []
     rng = [0x2545F491]
     cancel_pool: List[object] = []
 
@@ -507,15 +440,14 @@ def run_engine_stress(
 
 
 def _engine_stress_case(n_events: int) -> CaseResult:
-    """Time both legs; the wheel leg is the case proper, the binary-heap
-    leg its recorded baseline. Identical execution order is a hard gate."""
+    """Time both legs; the wheel leg is the case proper, the choice-hook
+    heap leg its recorded baseline. Identical execution order is a hard
+    gate."""
     wall_wheel, events_wheel, (_sim_w, order_wheel) = _timed(
-        lambda: run_engine_stress(n_events, use_timer_wheel=True, record_order=True),
-        rounds=3,
+        lambda: run_engine_stress(n_events), rounds=3
     )
     wall_heap, _events_heap, (_sim_h, order_heap) = _timed(
-        lambda: run_engine_stress(n_events, use_timer_wheel=False, record_order=True),
-        rounds=2,
+        lambda: run_engine_stress(n_events, heap=True), rounds=2
     )
     return CaseResult(
         name="engine-stress",
@@ -531,21 +463,18 @@ def _engine_stress_case(n_events: int) -> CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# The invalidate-stress microbench (per-pcid TLB index vs linear scan)
+# The invalidate-stress microbench (per-pcid TLB index)
 # ---------------------------------------------------------------------------
 
 
-def run_invalidate_stress(
-    ops: int = INVALIDATE_STRESS_OPS, use_index: bool = True
-) -> Dict[str, object]:
+def run_invalidate_stress(ops: int = INVALIDATE_STRESS_OPS) -> int:
     """Hammer one bare Tlb with a deterministic mix of fills (24 PCIDs,
     clustered vpns, occasional 2 MiB entries), range invalidations wide
-    enough to overlap huge pages, and per-PCID flushes. Returns the final
-    observable state -- drop count, surviving (pcid, vpn) keys in residence
-    order, counter stats -- which must not depend on ``use_index``."""
+    enough to overlap huge pages, and per-PCID flushes. Returns the number
+    of entries dropped."""
     from .hw.tlb import HUGE_SPAN, Tlb, TlbEntry
 
-    tlb = Tlb(capacity=4096, pcid_enabled=True, huge_capacity=128, use_index=use_index)
+    tlb = Tlb(capacity=4096, pcid_enabled=True, huge_capacity=128)
     rng = [0x9E3779B9]
     drops = 0
     for op in range(ops):
@@ -566,33 +495,14 @@ def run_invalidate_stress(
             drops += tlb.invalidate_range(pcid, base, base + width)
         else:
             drops += tlb.flush(pcid)
-    return {
-        "drops": drops,
-        "entries": [key for key, _ in tlb.items()],
-        "huge_entries": [key for key, _ in tlb.huge_items()],
-        "stats": tlb.stats(),
-    }
+    return drops
 
 
 def _invalidate_stress_case(ops: int) -> CaseResult:
-    """Time both legs; ``events`` is the op count (this bench runs no
-    simulator). Identical final TLB state is a hard gate."""
-    wall_idx, _ev, result_idx = _timed(
-        lambda: run_invalidate_stress(ops, use_index=True), rounds=3
-    )
-    wall_scan, _ev, result_scan = _timed(
-        lambda: run_invalidate_stress(ops, use_index=False), rounds=2
-    )
+    """``events`` is the op count (this bench runs no simulator)."""
+    wall, _ev, _drops = _timed(lambda: run_invalidate_stress(ops), rounds=3)
     return CaseResult(
-        name="invalidate-stress",
-        wall_s=wall_idx,
-        events=ops,
-        extra={
-            "ops": ops,
-            "scan_wall_s": round(wall_scan, 4),
-            "speedup_vs_scan": round(wall_scan / wall_idx, 2) if wall_idx > 0 else 0.0,
-            "state_match": result_idx == result_scan,
-        },
+        name="invalidate-stress", wall_s=wall, events=ops, extra={"ops": ops}
     )
 
 
@@ -685,93 +595,68 @@ def _mc_snapshot_case(scope: Tuple[int, int, int], pairs: int = 3) -> CaseResult
 
 
 # ---------------------------------------------------------------------------
-# The openloop-stress microbench (batched fault path vs per-page generic)
+# The openloop-stress microbench (the batched fault path)
 # ---------------------------------------------------------------------------
 
 
-def run_openloop_stress(use_batched_faults: bool = True) -> Dict[str, object]:
-    """One open-loop run at the fixed stress scope. Returns the complete
-    observable outcome -- headline metrics plus the raw counter snapshot --
-    which must not depend on ``use_batched_faults``: the batched path is a
-    pure wall-clock optimisation and may never change a modelled result."""
+def run_openloop_stress():
+    """One open-loop run at the fixed stress scope."""
     from .workloads.openloop import run_openloop
 
-    result = run_openloop(
-        use_batched_faults=use_batched_faults, **OPENLOOP_STRESS_SCOPE
-    )
-    return {"metrics": dict(result.metrics), "counters": dict(result.counters)}
+    return run_openloop(**OPENLOOP_STRESS_SCOPE)
 
 
 def _openloop_stress_case() -> CaseResult:
-    """Time the batched leg until it clears the absolute events/s floor
-    (best-of up to OPENLOOP_FLOOR_ROUNDS -- the host phase swings a leg
-    tens of percent, and the floor is a property of the code, not of one
-    noisy sample), then the per-page generic leg as its recorded baseline.
-    Two hard gates: identical metrics+counters between the legs
-    (``tables_match``) and the batched events/s floor (``events_floor_ok``)."""
+    """Time the run until it clears the absolute events/s floor (best-of up
+    to OPENLOOP_FLOOR_ROUNDS -- the host phase swings a run tens of
+    percent, and the floor is a property of the code, not of one noisy
+    sample). The floor is a hard gate (``events_floor_ok``)."""
     import gc
 
     best: Optional[Tuple[float, int, object]] = None
     rounds = 0
     for _ in range(OPENLOOP_FLOOR_ROUNDS):
         gc.collect()
-        run = _timed(lambda: run_openloop_stress(use_batched_faults=True))
+        run = _timed(run_openloop_stress)
         rounds += 1
         if best is None or run[0] < best[0]:
             best = run
         if best[1] / best[0] >= OPENLOOP_MIN_EVENTS_PER_SEC:
             break
-    wall_batched, events_batched, outcome_batched = best
-    wall_generic, _events_generic, outcome_generic = _timed(
-        lambda: run_openloop_stress(use_batched_faults=False), rounds=2
-    )
-    events_per_sec = events_batched / wall_batched if wall_batched > 0 else 0.0
+    wall, events, _outcome = best
+    events_per_sec = events / wall if wall > 0 else 0.0
     return CaseResult(
         name="openloop-stress-120c",
-        wall_s=wall_batched,
-        events=events_batched,
+        wall_s=wall,
+        events=events,
         extra={
             "sim_ms": OPENLOOP_STRESS_SCOPE["duration_ms"],
             "floor_rounds": rounds,
-            "generic_wall_s": round(wall_generic, 4),
-            "speedup_vs_generic": (
-                round(wall_generic / wall_batched, 2) if wall_batched > 0 else 0.0
-            ),
             "min_events_per_sec": OPENLOOP_MIN_EVENTS_PER_SEC,
             "events_floor_ok": events_per_sec >= OPENLOOP_MIN_EVENTS_PER_SEC,
-            "tables_match": outcome_batched == outcome_generic,
         },
     )
 
 
 # ---------------------------------------------------------------------------
-# The fleet-stress microbench (packed hot state vs the object model)
+# The fleet-stress microbench (the packed hot state at 960 cores)
 # ---------------------------------------------------------------------------
 
 
-def run_fleet_stress(
-    packed: bool = True, scope: Optional[Dict[str, object]] = None
-) -> Dict[str, object]:
+def run_fleet_stress(scope: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     """FLEET_STRESS_SCOPE's churn on the 960-core fleet box: every driver
     process pins a task to every core, then loops mmap / local write touch /
     a rotating scatter of remote read touches / munmap, so LATR states post
     from many owner cores and stay live while all 960 cores sweep each
-    tick. ``packed=False`` is the object-model leg: same machine, same op
-    sequence, all three packed-representation escape hatches off. Returns
-    the final ``StatsRegistry.summary()`` so the case can assert the legs
-    are modelled identically. ``scope`` overrides FLEET_STRESS_SCOPE (the
-    CI fleet-smoke runs a shorter leg than the bench)."""
+    tick. Returns the final ``StatsRegistry.summary()``. ``scope``
+    overrides FLEET_STRESS_SCOPE (the CI fleet-smoke runs a shorter leg
+    than the bench)."""
     from . import build_system
     from .mm.addr import PAGE_SIZE
     from .sim.engine import MSEC, AllOf, Timeout
 
     scope = scope or FLEET_STRESS_SCOPE
-    flags = (
-        {}
-        if packed
-        else dict(use_packed_tlb=False, use_frame_slabs=False, use_soa_states=False)
-    )
-    system = build_system("latr", machine=scope["machine"], seed=7, **flags)
+    system = build_system("latr", machine=scope["machine"], seed=7)
     kernel = system.kernel
     n_cores = len(kernel.machine.cores)
     n_drivers = scope["drivers"]
@@ -817,53 +702,34 @@ def run_fleet_stress(
 
 
 def _fleet_stress_case() -> CaseResult:
-    """Time the two legs in interleaved (packed, object) pairs, keeping the
-    per-leg minimum wall -- the workload is deterministic and both legs
-    share each round's host phase, so min-over-pairs is the stable
-    statistic for the ratio -- until the gates clear or FLEET_FLOOR_ROUNDS
-    pairs are spent. Three hard gates: identical stats summaries between
-    the legs (``tables_match``), the packed leg's events/s floor
-    (``events_floor_ok``), and the packed-vs-objects speedup floor
-    (``packed_speedup_ok``)."""
+    """Time the run until it clears the absolute events/s floor or
+    FLEET_FLOOR_ROUNDS rounds are spent, keeping the minimum wall (the
+    workload is deterministic). The floor is a hard gate
+    (``events_floor_ok``)."""
     import gc
 
     best: Optional[Tuple[float, int, object]] = None
-    wall_obj = float("inf")
-    summary_obj = None
     rounds = 0
     for _ in range(FLEET_FLOOR_ROUNDS):
         gc.collect()
-        run = _timed(lambda: run_fleet_stress(packed=True))
-        obj = _timed(lambda: run_fleet_stress(packed=False))
+        run = _timed(run_fleet_stress)
         rounds += 1
         if best is None or run[0] < best[0]:
             best = run
-        if obj[0] < wall_obj:
-            wall_obj = obj[0]
-            summary_obj = obj[2]
-        if (
-            best[1] / best[0] >= FLEET_MIN_EVENTS_PER_SEC
-            and wall_obj / best[0] >= FLEET_MIN_SPEEDUP
-        ):
+        if best[1] / best[0] >= FLEET_MIN_EVENTS_PER_SEC:
             break
-    wall_packed, events_packed, summary_packed = best
-    events_per_sec = events_packed / wall_packed if wall_packed > 0 else 0.0
-    speedup = wall_obj / wall_packed if wall_packed > 0 else 0.0
+    wall, events, _summary = best
+    events_per_sec = events / wall if wall > 0 else 0.0
     return CaseResult(
         name="fleet-stress-960c",
-        wall_s=wall_packed,
-        events=events_packed,
+        wall_s=wall,
+        events=events,
         extra={
             "sim_ms": FLEET_STRESS_SCOPE["duration_ms"],
             "drivers": FLEET_STRESS_SCOPE["drivers"],
             "floor_rounds": rounds,
-            "object_wall_s": round(wall_obj, 4),
-            "speedup_vs_objects": round(speedup, 2),
-            "min_speedup": FLEET_MIN_SPEEDUP,
-            "packed_speedup_ok": speedup >= FLEET_MIN_SPEEDUP,
             "min_events_per_sec": FLEET_MIN_EVENTS_PER_SEC,
             "events_floor_ok": events_per_sec >= FLEET_MIN_EVENTS_PER_SEC,
-            "tables_match": summary_packed == summary_obj,
         },
     )
 
@@ -1011,7 +877,7 @@ def run_bench(
 ) -> Tuple[Dict[str, object], int]:
     """Run the suite, write BENCH_<timestamp>.json, compare to the previous
     file. Returns (report dict, exit code): exit 1 means a case failed its
-    own correctness check (sweep-stress stats mismatch) or, when
+    own correctness check (e.g. an engine-stress order mismatch) or, when
     ``check_regression`` is set, a wall-clock regression beyond threshold.
     Exit 2 means ``check_regression`` was requested but no committed
     BENCH_*.json baseline exists to compare against."""
@@ -1042,36 +908,16 @@ def run_bench(
             f"  {case.name:<20} {case.wall_s:7.3f}s  "
             f"{case.events_per_sec:>12,.0f} events/s"
         )
-        if "speedup_vs_full_scan" in case.extra:
-            line += (
-                f"  (full scan {case.extra['full_scan_wall_s']}s, "
-                f"{case.extra['speedup_vs_full_scan']}x speedup)"
-            )
         if "speedup_vs_heap" in case.extra:
             line += (
                 f"  (heap {case.extra['heap_wall_s']}s, "
                 f"{case.extra['speedup_vs_heap']}x speedup)"
-            )
-        if "speedup_vs_scan" in case.extra:
-            line += (
-                f"  (scan {case.extra['scan_wall_s']}s, "
-                f"{case.extra['speedup_vs_scan']}x speedup)"
             )
         if "speedup_vs_replay" in case.extra:
             line += (
                 f"  (replay {case.extra['replay_wall_s']}s, "
                 f"{case.extra['speedup_vs_replay']}x speedup, "
                 f"{case.extra['states_per_sec']} states/s)"
-            )
-        if "speedup_vs_generic" in case.extra:
-            line += (
-                f"  (generic {case.extra['generic_wall_s']}s, "
-                f"{case.extra['speedup_vs_generic']}x speedup)"
-            )
-        if "speedup_vs_objects" in case.extra:
-            line += (
-                f"  (objects {case.extra['object_wall_s']}s, "
-                f"{case.extra['speedup_vs_objects']}x speedup)"
             )
         if "single_table_wall_s" in case.extra:
             line += (
@@ -1085,17 +931,11 @@ def run_bench(
                 f"{case.extra['jobs']} jobs)"
             )
         echo(line)
-        if case.extra.get("stats_match") is False:
-            echo(f"  {case.name}: FAIL -- indexed and full-scan stats diverge")
-            failed = True
         if case.extra.get("tables_match") is False:
             echo(f"  {case.name}: FAIL -- the two legs' tables/stats diverge")
             failed = True
         if case.extra.get("order_match") is False:
             echo(f"  {case.name}: FAIL -- wheel and heap event orders diverge")
-            failed = True
-        if case.extra.get("state_match") is False:
-            echo(f"  {case.name}: FAIL -- indexed and scan TLB states diverge")
             failed = True
         if case.extra.get("hashes_match") is False:
             echo(
@@ -1128,13 +968,6 @@ def run_bench(
                 f"  {case.name}: FAIL -- snapshot backtracking speedup "
                 f"{case.extra.get('speedup_vs_replay')}x below the "
                 f"{case.extra.get('min_speedup')}x floor"
-            )
-            failed = True
-        if case.extra.get("packed_speedup_ok") is False:
-            echo(
-                f"  {case.name}: FAIL -- packed-representation speedup "
-                f"{case.extra.get('speedup_vs_objects')}x over the object "
-                f"model below the {case.extra.get('min_speedup')}x floor"
             )
             failed = True
 

@@ -102,13 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="mc: skip the differential oracle at complete traces",
     )
     parser.add_argument(
-        "--legacy-latency-stats",
-        action="store_true",
-        help="record latency samples from t=0 instead of gating them on "
-        "the measurement window (reproduces the old warmup-polluted "
-        "percentiles, for A/B comparison)",
-    )
-    parser.add_argument(
         "--no-snapshots",
         action="store_true",
         help="disable all snapshot/fork machinery: warm-boot pools boot "
@@ -161,11 +154,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .snapshot import set_snapshots_enabled
 
         set_snapshots_enabled(False)
-
-    if args.legacy_latency_stats:
-        from .sim.stats import set_latency_gating
-
-        set_latency_gating(False)
 
     if args.experiment == "list":
         for exp_id in available_experiments():
@@ -492,37 +480,25 @@ def _virt_smoke() -> int:
 
 
 def _fleet_smoke() -> int:
-    """Fleet gate: the 960-core spec boots and runs the stress churn
-    cleanly, and the packed hot-state representations (SoA LATR queues,
-    packed TLB slots, slab frame frees -- the defaults) are byte-identical
-    to the object model at a short scope. The fleet bench *floor* rides in
-    the quick-bench step (fleet-stress-960c under ``--check-regression``);
-    this step is the cheap correctness half."""
+    """Fleet gate: the 960-core spec boots and runs the stress churn at a
+    short scope, posting and sweeping LATR states. The fleet bench *floor*
+    rides in the quick-bench step (fleet-stress-960c under
+    ``--check-regression``); this step is the cheap correctness half."""
     from .bench import run_fleet_stress
 
     scope = dict(
         machine="fleet-16s960c", drivers=8, pages=4, touchers=3, duration_ms=2
     )
-    packed = run_fleet_stress(packed=True, scope=scope)
-    if not packed.get("count.latr.sweeps") or not packed.get("count.latr.states_posted"):
+    summary = run_fleet_stress(scope=scope)
+    if not summary.get("count.latr.sweeps") or not summary.get("count.latr.states_posted"):
         print(
             "fleet-smoke: 960-core run posted no LATR states or never swept",
             file=sys.stderr,
         )
         return 1
-    objects = run_fleet_stress(packed=False, scope=scope)
-    if packed != objects:
-        diff = [k for k in packed.keys() | objects.keys() if packed.get(k) != objects.get(k)]
-        print(
-            f"fleet-smoke: packed and object-model stats diverge on "
-            f"{sorted(diff)[:8]}",
-            file=sys.stderr,
-        )
-        return 1
     print(
-        f"fleet ok: 960 cores, {int(packed['count.latr.sweeps'])} sweeps, "
-        f"{int(packed['count.latr.states_posted'])} posts; packed representations "
-        f"byte-identical to the object model"
+        f"fleet ok: 960 cores, {int(summary['count.latr.sweeps'])} sweeps, "
+        f"{int(summary['count.latr.states_posted'])} posts"
     )
     return 0
 
@@ -533,11 +509,11 @@ def _run_ci_command(args) -> int:
     numaPTE smoke (replication/escape-hatch/mutation-audit gate), the
     virt smoke (two-level translation: 2D-walk/host-invalidation
     accounting, escape-hatch byte-identity, broken-EPT-shootdown
-    mutation audit), the
-    fleet smoke (960-core boot + packed-vs-object byte-identity), a
-    parallel fast-mode smoke of every experiment, and the quick wall-clock
-    bench (which gates the mc-snapshot speedup/hash equality and the
-    fleet-stress packed speedup and events/s floors) with its regression
+    mutation audit), the fleet smoke (960-core boot, LATR posts and
+    sweeps), a parallel fast-mode smoke of every experiment, and the quick
+    wall-clock bench (which gates the mc-snapshot speedup/hash equality,
+    the engine-stress order identity and the openloop/fleet-stress events/s
+    floors) with its regression
     check against the committed BENCH_*.json baseline (exit 2 if the
     baseline is missing). Exits non-zero on the first failure.
 

@@ -29,24 +29,23 @@ simulator keeps an **active-state index**:
 * a global count of active states -- the empty sweep (the common case)
   returns the base cost in O(1);
 * per-queue active counts (maintained by ``LatrStateQueue.post`` and the
-  notifying ``LatrState.active`` property) -- sweeps skip empty queues;
+  notifying ``LatrState.active`` property) -- sweeps visit only queues
+  holding active states;
 * a per-core "last swept seq" cursor -- a repeat sweep never re-examines a
   state it already cleared itself from, because a state posted before this
   core's previous sweep can no longer carry this core's bitmask bit (the
   bitmask only shrinks and ``active`` is monotone).
 
-The index changes *no modelled result*: every ns cost, counter, latency and
-experiment row is bit-for-bit identical to the full scan (gated by the
-differential fuzzer and ``tests/test_sweep_index.py``). Construct with
-``use_sweep_index=False`` to force the original full scan -- the benchmark
-harness uses that as its pre-index wall-clock baseline.
+The index changes *no modelled result*: the cost model still charges every
+active state's examination, exactly what a scan of every slot would charge
+(``tests/test_sweep_index.py`` pins this against a scan of the queues).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
-from ..mm.addr import PAGE_SHIFT, VirtRange
+from ..mm.addr import VirtRange
 from ..mm.frames import FrameBatch
 from ..mm.mmstruct import MmStruct
 from ..sim.engine import Signal, Timeout
@@ -59,8 +58,6 @@ from .states import (
     LatrFlag,
     LatrState,
     LatrStateQueue,
-    SoaLatrQueue,
-    SoaLatrState,
 )
 
 #: Cacheline cost of one state record (68 B spans two 64 B lines).
@@ -83,23 +80,12 @@ class LatrCoherence(TLBCoherence):
         reclaim_delay_ticks: int = 2,
         sweep_on_context_switch: bool = True,
         sweep_on_tick: bool = True,
-        use_sweep_index: bool = True,
-        use_soa_states: bool = True,
     ):
         super().__init__()
         self.queue_depth = queue_depth
         self.reclaim_delay_ticks = reclaim_delay_ticks
         self.sweep_on_context_switch = sweep_on_context_switch
         self.sweep_on_tick = sweep_on_tick
-        #: False forces the original O(cores x queue_depth) full scan; the
-        #: bench harness and the equivalence tests compare both paths.
-        self.use_sweep_index = use_sweep_index
-        #: Escape hatch for the struct-of-arrays queue representation:
-        #: False rebuilds the original one-dataclass-per-state model. The
-        #: two representations are bit-identical in every modelled result
-        #: (stats, canonical hashes); only the simulator's wall-clock differs.
-        self.use_soa_states = use_soa_states
-        self._state_cls = SoaLatrState if use_soa_states else LatrState
         self.queues: Dict[int, LatrStateQueue] = {}
         #: Extra per-sweep cost for cache-thrashing applications whose state
         #: queue lines never stay resident (workload profiles set this; the
@@ -118,27 +104,26 @@ class LatrCoherence(TLBCoherence):
         #: core id -> last posted seq observed at that core's previous sweep.
         self._sweep_cursor: Dict[int, int] = {}
         #: Core ids whose queues currently hold active states; sweeps visit
-        #: only these (in core-id order, matching the full scan's order).
+        #: only these, in core-id order.
         self._active_queue_ids: set = set()
-        #: Snapshot of every posted active state in full-scan visit order
+        #: Snapshot of every posted active state in sweep visit order
         #: -- (core id, slot index) -- or None when stale. Membership only
         #: changes on a post or a final deactivation, which happen orders
         #: of magnitude less often than the per-tick sweeps that read it.
         self._active_states_sorted: Optional[List[LatrState]] = None
-        #: SoA sweep row cache: (seq, owner socket, queue, slot, state)
+        #: Sweep row cache: (seq, owner socket, queue, slot, state)
         #: tuples for ``_active_states_sorted``, keyed on that list's
         #: *identity* (every invalidation path -- post, deactivate,
         #: snapshot restore -- installs a fresh list object).
-        self._soa_sweep_rows: Optional[list] = None
-        self._soa_rows_src: Optional[list] = None
+        self._sweep_rows: Optional[list] = None
+        self._sweep_rows_src: Optional[list] = None
 
     # ---- wiring ---------------------------------------------------------------
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        queue_cls = SoaLatrQueue if self.use_soa_states else LatrStateQueue
         self.queues = {
-            core.id: queue_cls(core.id, self.queue_depth)
+            core.id: LatrStateQueue(core.id, self.queue_depth)
             for core in kernel.machine.cores
         }
         for queue in self.queues.values():
@@ -158,26 +143,22 @@ class LatrCoherence(TLBCoherence):
         self._sweep_latency = stats.latency("latr.sweep")
         machine = kernel.machine
         self._sim = kernel.sim
-        self._topo = machine.topology
-        self._llc = machine.llc
         self._full_flush_threshold = machine.spec.full_flush_threshold
         lat = machine.latency
         self._sweep_base_ns = lat.latr_sweep_base_ns
         self._sweep_per_entry_ns = lat.latr_sweep_per_entry_ns
         self._invlpg_ns = lat.tlb_invlpg_ns
         self._full_flush_ns = lat.tlb_full_flush_ns
-        self._state_pull = lat.latr_state_pull
-        self._core_hops = machine.topology.core_hops
         self._record_state_traffic = machine.llc.record_state_traffic
-        # SoA sweep fast-path tables: the topology's socket map / hop rows
-        # and the pull cost per (clamped) hop count, so the per-state loop
-        # does plain list indexing instead of bound-method calls.
+        # Sweep fast-path tables: the topology's socket map / hop rows and
+        # the pull cost per (clamped) hop count, so the per-state loop does
+        # plain list indexing instead of bound-method calls.
         topo = machine.topology
         self._socket_of = topo._socket_of
         self._hop_rows = topo._hops
         self._pull_ns_by_hops = tuple(lat.latr_state_pull(h) for h in range(3))
-        self._soa_sweep_rows = None
-        self._soa_rows_src = None
+        self._sweep_rows = None
+        self._sweep_rows_src = None
 
     def start(self) -> None:
         """Spawn the background reclamation daemon (kernel.start calls this)."""
@@ -236,13 +217,10 @@ class LatrCoherence(TLBCoherence):
             self._stats.latency("shootdown.free").record(self.kernel.sim.now - start)
             return
 
-        if self.use_soa_states:
-            bitmask = 0
-            for t in targets:
-                bitmask |= 1 << t.id
-        else:
-            bitmask = {t.id for t in targets}
-        state = self._state_cls(
+        bitmask = 0
+        for t in targets:
+            bitmask |= 1 << t.id
+        state = LatrState(
             vrange=vrange,
             mm=mm,
             cpu_bitmask=bitmask,
@@ -295,20 +273,15 @@ class LatrCoherence(TLBCoherence):
         apply_pte_change: Callable[[], None],
     ) -> Generator:
         targets = self.select_targets(core, mm)
-        if self.use_soa_states:
-            bitmask = 0
-            for t in targets:
-                bitmask |= 1 << t.id
-            # The initiator participates too: its own TLB is invalidated at
-            # its next tick, after the first sweeper applied the PTE change
-            # (paper Figure 3b includes both cores in the bitmask).
-            if not core.lazy_tlb_mode:
-                bitmask |= 1 << core.id
-        else:
-            bitmask = {t.id for t in targets}
-            if not core.lazy_tlb_mode:
-                bitmask.add(core.id)
-        state = self._state_cls(
+        bitmask = 0
+        for t in targets:
+            bitmask |= 1 << t.id
+        # The initiator participates too: its own TLB is invalidated at its
+        # next tick, after the first sweeper applied the PTE change (paper
+        # Figure 3b includes both cores in the bitmask).
+        if not core.lazy_tlb_mode:
+            bitmask |= 1 << core.id
+        state = LatrState(
             vrange=vrange,
             mm=mm,
             cpu_bitmask=bitmask,
@@ -345,7 +318,7 @@ class LatrCoherence(TLBCoherence):
             state.pte_applied = True
             yield from core.execute(self.local_invalidate(core, mm, vrange))
             yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
-            state.cpu_bitmask.clear()
+            state.cpu_bitmask = 0
             state.completed_at = self.kernel.sim.now
             state.active = False
             state.done.succeed(state)
@@ -389,24 +362,24 @@ class LatrCoherence(TLBCoherence):
         Cost model is Table 5's 158 ns base (the states are contiguous and
         prefetched) plus per-active-entry examination, a cacheline pull the
         first time this core reads a state written on another socket, and
-        the local invalidation work for matching entries. The indexed and
-        full implementations charge identical costs; only the simulator's
-        own wall-clock differs.
+        the local invalidation work for matching entries.
         """
-        if self.use_sweep_index:
-            if self.use_soa_states:
-                return self._sweep_indexed_soa(core)
-            return self._sweep_indexed(core)
-        return self._sweep_full(core)
+        return self._sweep_indexed_soa(core)
 
-    def _sweep_indexed(self, core) -> int:
+    def _sweep_indexed_soa(self, core) -> int:
+        """The indexed sweep over the struct-of-arrays queues.
+
+        Per-state checks are int-bitmask tests against the queue's parallel
+        arrays, hop pull costs come from precomputed tables, and LLC state
+        traffic is recorded once per sweep (the counters are pure sums, so
+        one batched add of ``STATE_LINES * pulls`` equals one add per
+        pull)."""
         cost = self._sweep_base_ns + self.cold_sweep_extra_ns
         examined = self._active_state_count
         if examined == 0:
             # Empty-sweep fast path: the modelled sweep walked every slot
             # and found nothing, which costs exactly the base; the simulator
-            # gets there in O(1). (_finish_sweep specialised for the
-            # nothing-matched case -- the majority of all sweeps.)
+            # gets there in O(1). This is the majority of all sweeps.
             self._sweeps_counter.value += 1
             self._sweep_latency.record(cost)
             kernel = self.kernel
@@ -415,64 +388,10 @@ class LatrCoherence(TLBCoherence):
             return cost
 
         cost += examined * self._sweep_per_entry_ns
-        topo = self._topo
-        cursor = self._sweep_cursor.get(core.id, 0)
-        matching: List[LatrState] = []
-        total_pages = 0
         # Only states posted after this core's previous sweep, visited in
-        # full-scan order (core id, then slot): older still-active states
-        # were already examined then -- their cross-socket pull is paid
-        # (pulled_by) and their bitmask can no longer contain this core.
-        # _pull_cost is inlined (bound methods cached at attach): this loop
-        # runs on every tick of every core.
-        core_id = core.id
-        core_hops = self._core_hops
-        states = self._active_states_sorted
-        if states is None:
-            queues = self.queues
-            states = [
-                state
-                for queue_id in sorted(self._active_queue_ids)
-                for state in queues[queue_id].active_states_after(-1)
-            ]
-            self._active_states_sorted = states
-        for state in states:
-            if state.seq <= cursor:
-                continue
-            hops = core_hops(core_id, state.owner_core)
-            if hops > 0 and core_id not in state.pulled_by:
-                state.pulled_by.add(core_id)
-                self._record_state_traffic(STATE_LINES)
-                cost += self._state_pull(hops)
-            if core_id not in state.cpu_bitmask:
-                continue
-            cost += self._apply_deferred_migration(state)
-            matching.append(state)
-            vrange = state.vrange
-            # vrange.n_pages, without the property call (hot loop).
-            total_pages += (vrange.end - vrange.start) >> PAGE_SHIFT
-        self._sweep_cursor[core.id] = self._last_posted_seq
-        return self._finish_sweep(core, matching, total_pages, cost, examined)
-
-    def _sweep_indexed_soa(self, core) -> int:
-        """The indexed sweep over the struct-of-arrays queues: identical
-        visit order, costs and counters to :meth:`_sweep_indexed`, but the
-        per-state checks are int-bitmask tests against the queue's parallel
-        arrays, hop pull costs come from precomputed tables, and LLC state
-        traffic is recorded once per sweep (the counters are pure sums, so
-        one batched add of ``STATE_LINES * pulls`` equals the object
-        model's per-pull adds)."""
-        cost = self._sweep_base_ns + self.cold_sweep_extra_ns
-        examined = self._active_state_count
-        if examined == 0:
-            self._sweeps_counter.value += 1
-            self._sweep_latency.record(cost)
-            kernel = self.kernel
-            if kernel.invariant_monitor is not None:
-                kernel.invariant_monitor.notify("latr.sweep", core=core.id)
-            return cost
-
-        cost += examined * self._sweep_per_entry_ns
+        # (core id, slot) order: older still-active states were already
+        # examined then -- their cross-socket pull is paid (pulled mask)
+        # and their bitmask can no longer contain this core.
         core_id = core.id
         cursor = self._sweep_cursor.get(core_id, 0)
         socket_of = self._socket_of
@@ -488,14 +407,14 @@ class LatrCoherence(TLBCoherence):
         # The per-state immutable fields (seq, owner socket, queue, slot)
         # flattened into tuples: rebuilt only when the active set changes,
         # then shared by every sweeping core in between.
-        rows = self._soa_sweep_rows
-        if self._soa_rows_src is not states:
+        rows = self._sweep_rows
+        if self._sweep_rows_src is not states:
             rows = [
                 (s.seq, socket_of[s.owner_core], s.queue, s.slot_idx, s)
                 for s in states
             ]
-            self._soa_sweep_rows = rows
-            self._soa_rows_src = states
+            self._sweep_rows = rows
+            self._sweep_rows_src = states
         matching: list = []
         total_pages = 0
         core_bit = 1 << core_id
@@ -522,6 +441,8 @@ class LatrCoherence(TLBCoherence):
             flags_a = queue._flags_a
             flags = flags_a[idx]
             if flags & SOA_MIGRATION and not flags & SOA_PTE_APPLIED:
+                # The first sweeper applies the deferred PTE change ("Clear
+                # PTE" in Figure 3b).
                 flags_a[idx] = flags | SOA_PTE_APPLIED
                 row[4].apply_pte_change()
                 cost += queue._npages_a[idx] * pte_set_ns
@@ -530,95 +451,9 @@ class LatrCoherence(TLBCoherence):
         if pulls:
             self._record_state_traffic(STATE_LINES * pulls)
         self._sweep_cursor[core_id] = self._last_posted_seq
-        return self._finish_sweep_soa(core, matching, total_pages, cost, examined)
-
-    def _sweep_full(self, core) -> int:
-        """The original scan: every queue, every slot (pre-index baseline)."""
-        lat = self._lat
-        topo = self.kernel.machine.topology
-        cost = lat.latr_sweep_base_ns + self.cold_sweep_extra_ns
-        examined = 0
-        matching: List[LatrState] = []
-        total_pages = 0
-        for queue in self.queues.values():
-            for state in queue.active_states():
-                examined += 1
-                cost += lat.latr_sweep_per_entry_ns
-                cost += self._pull_cost(core, state, topo)
-                if core.id not in state.cpu_bitmask:
-                    continue
-                cost += self._apply_deferred_migration(state)
-                matching.append(state)
-                total_pages += state.vrange.n_pages
         return self._finish_sweep(core, matching, total_pages, cost, examined)
 
-    def _pull_cost(self, core, state: LatrState, topo) -> int:
-        """Cacheline pull the first time ``core`` reads a remote-socket state."""
-        hops = topo.core_hops(core.id, state.owner_core)
-        if hops > 0 and core.id not in state.pulled_by:
-            state.pulled_by.add(core.id)
-            self._llc.record_state_traffic(STATE_LINES)
-            return self._lat.latr_state_pull(hops)
-        return 0
-
-    def _apply_deferred_migration(self, state: LatrState) -> int:
-        """First sweeper applies the deferred PTE change ("Clear PTE" in
-        Figure 3b); returns the PTE-write cost."""
-        if state.flag is LatrFlag.MIGRATION and not state.pte_applied:
-            state.pte_applied = True
-            state.apply_pte_change()
-            return state.vrange.n_pages * self._lat.pte_set_ns
-        return 0
-
     def _finish_sweep(
-        self,
-        core,
-        matching: List[LatrState],
-        total_pages: int,
-        cost: int,
-        examined: int,
-    ) -> int:
-        """Pass 2: invalidate. Like Linux's 32-page batching rule, a sweep
-        with more work than the threshold does one full flush instead of
-        per-page INVLPGs (paper 4.1: "LATR flushes the entire TLB during
-        state sweep")."""
-        invalidated_states = len(matching)
-        if invalidated_states:
-            now = self._sim.now
-            if total_pages > self._full_flush_threshold:
-                core.tlb.flush()
-                cost += self._full_flush_ns + invalidated_states * 30
-                for state in matching:
-                    state.clear_cpu(core.id, now)
-            else:
-                tlb = core.tlb
-                invlpg_ns = self._invlpg_ns
-                for state in matching:
-                    vrange = state.vrange
-                    start, end = vrange.start, vrange.end
-                    tlb.invalidate_range(
-                        state.mm.pcid, start >> PAGE_SHIFT, end >> PAGE_SHIFT
-                    )
-                    cost += ((end - start) >> PAGE_SHIFT) * invlpg_ns + 30
-                    state.clear_cpu(core.id, now)
-
-        self._sweeps_counter.value += 1
-        kernel = self.kernel
-        if invalidated_states:
-            if kernel.tracer is not None:
-                kernel.tracer.emit(
-                    "latr", "sweep", core=core.id,
-                    detail=f"states={invalidated_states} pages={total_pages}",
-                )
-            self._invalidated_counter.value += invalidated_states
-        if examined:
-            self._examined_counter.value += examined
-        self._sweep_latency.record(cost)
-        if kernel.invariant_monitor is not None:
-            kernel.invariant_monitor.notify("latr.sweep", core=core.id)
-        return cost
-
-    def _finish_sweep_soa(
         self,
         core,
         matching: list,
@@ -626,39 +461,36 @@ class LatrCoherence(TLBCoherence):
         cost: int,
         examined: int,
     ) -> int:
-        """:meth:`_finish_sweep` over SoA sweep rows: the invalidate/clear
-        pass works the queue arrays directly instead of going through the
-        handle's ``clear_cpu`` property machinery. Costs, counters, and the
-        deactivation protocol (completed_at before ``active``, then the
-        done signal) are identical."""
+        """Pass 2: invalidate. Like Linux's 32-page batching rule, a sweep
+        with more work than the threshold does one full flush instead of
+        per-page INVLPGs (paper 4.1: "LATR flushes the entire TLB during
+        state sweep").
+
+        The clear pass works the queue arrays directly instead of going
+        through the handle's ``clear_cpu``, with the same deactivation
+        protocol: completed_at before ``active``, then the done signal."""
         invalidated_states = len(matching)
         if invalidated_states:
             now = self._sim.now
             keep_mask = ~(1 << core.id)
-            if total_pages > self._full_flush_threshold:
-                core.tlb.flush()
+            tlb = core.tlb
+            full_flush = total_pages > self._full_flush_threshold
+            if full_flush:
+                tlb.flush()
                 cost += self._full_flush_ns + invalidated_states * 30
-                for _seq, _socket, queue, idx, state in matching:
-                    mask = queue._mask_a[idx] & keep_mask
-                    queue._mask_a[idx] = mask
-                    if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
-                        state.completed_at = now
-                        state.active = False
-                        state.done.succeed(state)
-            else:
-                tlb = core.tlb
-                invlpg_ns = self._invlpg_ns
-                for _seq, _socket, queue, idx, state in matching:
+            invlpg_ns = self._invlpg_ns
+            for _seq, _socket, queue, idx, state in matching:
+                if not full_flush:
                     vpn = queue._vpn_a[idx]
                     npages = queue._npages_a[idx]
                     tlb.invalidate_range(state.mm.pcid, vpn, vpn + npages)
                     cost += npages * invlpg_ns + 30
-                    mask = queue._mask_a[idx] & keep_mask
-                    queue._mask_a[idx] = mask
-                    if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
-                        state.completed_at = now
-                        state.active = False
-                        state.done.succeed(state)
+                mask = queue._mask_a[idx] & keep_mask
+                queue._mask_a[idx] = mask
+                if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
+                    state.completed_at = now
+                    state.active = False
+                    state.done.succeed(state)
         self._sweeps_counter.value += 1
         kernel = self.kernel
         if invalidated_states:
@@ -681,13 +513,7 @@ class LatrCoherence(TLBCoherence):
         if self.sweep_on_tick:
             # Inlined sweep() dispatch and steal_time (a bare increment):
             # this is the per-tick hot path.
-            if self.use_sweep_index:
-                if self.use_soa_states:
-                    core._pending_interrupt_ns += self._sweep_indexed_soa(core)
-                else:
-                    core._pending_interrupt_ns += self._sweep_indexed(core)
-            else:
-                core._pending_interrupt_ns += self._sweep_full(core)
+            core._pending_interrupt_ns += self._sweep_indexed_soa(core)
 
     def on_context_switch(self, core, old_mm, new_mm) -> None:
         if self.sweep_on_context_switch:

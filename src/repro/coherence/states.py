@@ -7,6 +7,15 @@ active flag. Cores sweep *all* cores' queues at every scheduler tick or
 context switch, invalidate what concerns them, clear their bitmask bit with
 an atomic, and the last core deactivates the entry.
 
+The queues use the paper's own layout: 64 packed records per core, i.e.
+flat parallel arrays rather than objects. Hot per-slot fields live in
+parallel int lists / a flags bytearray on :class:`LatrStateQueue` -- cpu
+mask and pulled mask as int *bitmasks*, active/pte_applied/reclaimed/
+migration as flag bits, base vpn / page count -- and
+:class:`LatrState` is a ``__slots__`` handle that routes reads and writes to
+its slot while posted. ``cpu_bitmask`` and ``pulled_by`` read as frozensets
+of core ids; the sweep works the int masks directly.
+
 To keep the simulator's sweep sub-linear (the paper's observation that the
 common sweep is the *empty* sweep), every queue maintains an
 :attr:`~LatrStateQueue.active_count` and reports post/deactivation events to
@@ -15,32 +24,13 @@ an optional :attr:`~LatrStateQueue.index` (the owning
 ``active`` attribute itself -- it is a notifying property -- so every path
 that retires a state (``clear_cpu``, queue-full fallbacks, the deliberately
 broken fuzzer mutations) keeps the counts exact.
-
-Two queue representations share that contract:
-
-* :class:`LatrStateQueue` + :class:`LatrState` -- the original object model,
-  one dataclass per state with ``Set[int]`` bitmasks;
-* :class:`SoaLatrQueue` + :class:`SoaLatrState` -- a struct-of-arrays layout
-  (the paper's own: section 4.1 describes 64 packed 68-byte records per
-  core, i.e. flat parallel arrays, not objects). Hot per-slot fields live in
-  parallel int lists / a flags bytearray on the queue -- seq, cpu mask and
-  pulled mask as int *bitmasks*, active/pte_applied/reclaimed/migration as
-  flag bits, base vpn / page count / post timestamp -- and the state object
-  shrinks to a ``__slots__`` handle that routes reads and writes to its slot
-  while posted. The handle exposes the complete ``LatrState`` API
-  (``cpu_bitmask`` and ``pulled_by`` are live set-like views over the int
-  masks), so sweeps, mutations, snapshots, and the model checker's canonical
-  hash see identical observable state either way; ``use_soa_states=False``
-  on :class:`~repro.coherence.latr.LatrCoherence` is the escape hatch back
-  to the object model.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Callable, FrozenSet, Iterator, List, Optional
 
 from ..mm.addr import VirtRange
 from ..mm.mmstruct import MmStruct
@@ -60,249 +50,11 @@ class LatrFlag(enum.Enum):
     MIGRATION = "migration"
 
 
-@dataclass
-class LatrState:
-    """One 68-byte LATR state record."""
-
-    vrange: VirtRange
-    mm: MmStruct
-    cpu_bitmask: Set[int]
-    flag: LatrFlag
-    owner_core: int
-    posted_at: int
-    #: Fires when the bitmask empties (all cores invalidated); used to gate
-    #: migrations (paper 4.4) and by the reclamation daemon.
-    done: Signal
-    #: Frames pinned until reclamation (FREE states).
-    pfns: List[int] = field(default_factory=list)
-    #: Virtual range to return to the allocator at reclamation (munmap only;
-    #: madvise keeps the VMA so nothing to return).
-    vrange_to_free: Optional[VirtRange] = None
-    #: Deferred PTE change (MIGRATION states): run by the first sweeper.
-    apply_pte_change: Optional[Callable[[], None]] = None
-    pte_applied: bool = False
-    #: Cores that already pulled this state's cachelines cross-socket
-    #: (timing bookkeeping for the sweep cost model).
-    pulled_by: Set[int] = field(default_factory=set)
-    active: bool = True
-    completed_at: Optional[int] = None
-    reclaimed: bool = False
-    seq: int = field(default_factory=lambda: next(_state_seq))
-    #: Ring slot this state occupies in its queue (set by ``post``); lets
-    #: the sweep index reproduce slot order without scanning every slot.
-    slot_idx: int = -1
-    #: The queue this state was posted to (None until posted). Deactivation
-    #: notifies it so active counts and the sweep index never drift.
-    queue: Optional["LatrStateQueue"] = None
-
-    def clear_cpu(self, core_id: int, now: int) -> bool:
-        """Remove ``core_id`` from the bitmask; returns True when this was
-        the last core (the state deactivates, paper Figure 5 step 3)."""
-        self.cpu_bitmask.discard(core_id)
-        if not self.cpu_bitmask and self.active:
-            # Set the completion time before flipping ``active``: the
-            # deactivation notification (and the done callbacks) may read it.
-            self.completed_at = now
-            self.active = False
-            self.done.succeed(self)
-            return True
-        return False
-
-
-def _active_get(self: LatrState) -> bool:
-    return self.__dict__.get("_active_value", True)
-
-
-def _active_set(self: LatrState, value: bool) -> None:
-    prev = self.__dict__.get("_active_value")
-    self.__dict__["_active_value"] = bool(value)
-    if prev and not value:
-        queue = getattr(self, "queue", None)
-        if queue is not None:
-            queue.note_deactivated(self)
-
-
-# ``active`` is a notifying property so that *every* deactivation path --
-# clear_cpu, the queue-full fallbacks that assign ``state.active = False``
-# directly, and the fuzzer's broken-LATR mutations -- decrements the queue
-# and index counts exactly once. States never reactivate (the flag is
-# monotone), which is what makes the sweep cursor in LatrCoherence sound.
-LatrState.active = property(_active_get, _active_set)  # type: ignore[assignment]
-
-
-def _slot_key(state: LatrState) -> int:
-    return state.slot_idx
-
-
-class LatrStateQueue:
-    """A per-core cyclic queue of LATR states.
-
-    'Lock-free' in the paper means entries are claimed and cleared with
-    atomics; in the simulator the discrete-event loop serializes accesses,
-    so the queue is a plain ring with an explicit full condition: the slot
-    at the write cursor still being active means the queue is full and the
-    poster must fall back to IPIs (paper sections 4.2, 8).
-    """
-
-    def __init__(self, core_id: int, depth: int = DEFAULT_QUEUE_DEPTH):
-        if depth < 1:
-            raise ValueError("queue depth must be positive")
-        self.core_id = core_id
-        self.depth = depth
-        self._slots: List[Optional[LatrState]] = [None] * depth
-        self._cursor = 0
-        self.posts = 0
-        self.full_rejections = 0
-        #: Number of currently-active states in this queue; sweeps skip the
-        #: queue entirely when it is zero.
-        self.active_count = 0
-        #: The active posted states keyed by seq (kept exact by the same
-        #: post/deactivation notifications as ``active_count``); at most one
-        #: active state per slot, so slot order is recoverable by sorting.
-        self._active_map: dict = {}
-        #: Optional owner implementing ``note_posted(queue, state)`` /
-        #: ``note_deactivated(queue, state)`` (the LatrCoherence sweep index).
-        self.index = None
-
-    def post(self, state: LatrState) -> bool:
-        """Install a state; False when the queue is full (caller falls back).
-
-        A slot is reusable once its state is inactive *and* reclaimed (for
-        FREE states the record must survive until the reclamation daemon has
-        freed the pages it references).
-        """
-        slot = self._slots[self._cursor]
-        if slot is not None and (slot.active or not slot.reclaimed):
-            self.full_rejections += 1
-            return False
-        self._slots[self._cursor] = state
-        state.slot_idx = self._cursor
-        self._cursor = (self._cursor + 1) % self.depth
-        self.posts += 1
-        state.queue = self
-        if state.active:
-            self.active_count += 1
-            self._active_map[state.seq] = state
-            if self.index is not None:
-                self.index.note_posted(self, state)
-        return True
-
-    def note_deactivated(self, state: LatrState) -> None:
-        """A posted state flipped active -> inactive (called by the
-        ``LatrState.active`` setter exactly once per state)."""
-        if self.active_count > 0:
-            self.active_count -= 1
-        self._active_map.pop(state.seq, None)
-        if self.index is not None:
-            self.index.note_deactivated(self, state)
-
-    def active_states(self) -> Iterator[LatrState]:
-        # Reads the backing __dict__ slot directly: the ``active`` property
-        # costs a descriptor call per state, and sweeps run every tick.
-        for state in self._slots:
-            if state is not None and state.__dict__.get("_active_value", True):
-                yield state
-
-    def active_states_after(self, seq: int) -> List[LatrState]:
-        """Active states with a posting sequence newer than ``seq``, in slot
-        order (the same order the full scan visits them). O(active), not
-        O(depth): the candidates come from the active map and are put back
-        into slot order by their recorded slot index (at most one active
-        state per slot, so the ordering is total)."""
-        states = [s for s in self._active_map.values() if s.seq > seq]
-        if len(states) > 1:
-            states.sort(key=_slot_key)
-        return states
-
-    def all_states(self) -> Iterator[LatrState]:
-        for state in self._slots:
-            if state is not None:
-                yield state
-
-    def occupancy(self) -> int:
-        return sum(
-            1
-            for s in self._slots
-            if s is not None and (s.active or not s.reclaimed)
-        )
-
-    def footprint_bytes(self) -> int:
-        return self.depth * STATE_BYTES
-
-
-# ---------------------------------------------------------------------------
-# Struct-of-arrays representation
-# ---------------------------------------------------------------------------
-
-#: Flag bits of the packed per-slot flags byte (``SoaLatrQueue._flags_a``).
+#: Flag bits of the packed per-slot flags byte (``LatrStateQueue._flags_a``).
 SOA_ACTIVE = 0x01
 SOA_PTE_APPLIED = 0x02
 SOA_RECLAIMED = 0x04
 SOA_MIGRATION = 0x08
-
-
-class _MaskView:
-    """Live set-of-core-ids view over an int bitmask field of a
-    :class:`SoaLatrState` (``kind`` 0 = cpu_bitmask, 1 = pulled_by).
-
-    Reads and writes go through the state so they hit the queue's parallel
-    arrays while the state occupies a slot. Iteration yields ascending core
-    ids -- the order ``sorted(set)`` would give -- so canonicalization and
-    snapshots see exactly what the object model produces.
-    """
-
-    __slots__ = ("_state", "_kind")
-
-    def __init__(self, state: "SoaLatrState", kind: int):
-        self._state = state
-        self._kind = kind
-
-    def _get(self) -> int:
-        return self._state._mask_get(self._kind)
-
-    def _put(self, mask: int) -> None:
-        self._state._mask_put(self._kind, mask)
-
-    def __contains__(self, core_id: int) -> bool:
-        return (self._get() >> core_id) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self._get()
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self._get().bit_count()
-
-    def __bool__(self) -> bool:
-        return self._get() != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _MaskView):
-            return self._get() == other._get()
-        if isinstance(other, (set, frozenset)):
-            return set(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"{{{', '.join(map(str, self))}}}"
-
-    def add(self, core_id: int) -> None:
-        self._put(self._get() | (1 << core_id))
-
-    def discard(self, core_id: int) -> None:
-        self._put(self._get() & ~(1 << core_id))
-
-    def clear(self) -> None:
-        self._put(0)
-
-    def update(self, other) -> None:
-        mask = self._get()
-        for core_id in other:
-            mask |= 1 << core_id
-        self._put(mask)
 
 
 def _as_mask(value) -> int:
@@ -315,15 +67,43 @@ def _as_mask(value) -> int:
     return mask
 
 
-class SoaLatrState:
-    """Thin handle over one slot of a :class:`SoaLatrQueue`.
+def _cores_of(mask: int) -> FrozenSet[int]:
+    """The core ids whose bits are set in ``mask``."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(cores)
+
+
+def _slot_key(state: "LatrState") -> int:
+    return state.slot_idx
+
+
+def _flag_property(bit: int) -> property:
+    """A plain read/write bool over one bit of a state's flags byte."""
+
+    def get(state: "LatrState") -> bool:
+        return state._flags_get() & bit != 0
+
+    def put(state: "LatrState", value: bool) -> None:
+        flags = state._flags_get()
+        state._flags_put(flags | bit if value else flags & ~bit)
+
+    return property(get, put)
+
+
+class LatrState:
+    """One 68-byte LATR state record: a thin handle over one slot of a
+    :class:`LatrStateQueue`.
 
     Identity and cold fields (vrange, mm, done signal, pfns, the deferred
     PTE callback) live on the handle; the hot mutable fields (cpu/pulled
     masks, the active/pte_applied/reclaimed/migration flag bits) live in the
     queue's parallel arrays while the state occupies its ring slot and are
-    frozen back onto the handle when the slot is recycled. API-compatible
-    with :class:`LatrState`, including the notifying monotone ``active``.
+    frozen back onto the handle when the slot is recycled. ``active`` is a
+    notifying, monotone property.
     """
 
     __slots__ = (
@@ -358,10 +138,6 @@ class SoaLatrState:
         pfns: Optional[List[int]] = None,
         vrange_to_free: Optional[VirtRange] = None,
         apply_pte_change: Optional[Callable[[], None]] = None,
-        pte_applied: bool = False,
-        pulled_by=0,
-        active: bool = True,
-        completed_at: Optional[int] = None,
         reclaimed: bool = False,
     ):
         self.vrange = vrange
@@ -373,22 +149,17 @@ class SoaLatrState:
         self.pfns = [] if pfns is None else pfns
         self.vrange_to_free = vrange_to_free
         self.apply_pte_change = apply_pte_change
-        self.completed_at = completed_at
+        self.completed_at: Optional[int] = None
         self.seq = next(_state_seq)
         self.slot_idx = -1
         self.queue = None
         self._cpu_mask = _as_mask(cpu_bitmask)
-        self._pulled_mask = _as_mask(pulled_by)
-        flags = 0
-        if active:
-            flags |= SOA_ACTIVE
-        if pte_applied:
-            flags |= SOA_PTE_APPLIED
-        if reclaimed:
-            flags |= SOA_RECLAIMED
-        if flag is LatrFlag.MIGRATION:
-            flags |= SOA_MIGRATION
-        self._flags = flags
+        self._pulled_mask = 0
+        self._flags = (
+            SOA_ACTIVE
+            | (SOA_RECLAIMED if reclaimed else 0)
+            | (SOA_MIGRATION if flag is LatrFlag.MIGRATION else 0)
+        )
         self._attached = False
 
     # ---- slot plumbing -------------------------------------------------------
@@ -434,19 +205,22 @@ class SoaLatrState:
         self._flags = queue._flags_a[idx]
         self._attached = False
 
-    # ---- LatrState-compatible surface ----------------------------------------
+    # ---- record fields -------------------------------------------------------
 
     @property
-    def cpu_bitmask(self) -> _MaskView:
-        return _MaskView(self, 0)
+    def cpu_bitmask(self) -> FrozenSet[int]:
+        """Cores that still have to invalidate (a read-only snapshot)."""
+        return _cores_of(self._mask_get(0))
 
     @cpu_bitmask.setter
     def cpu_bitmask(self, value) -> None:
         self._mask_put(0, _as_mask(value))
 
     @property
-    def pulled_by(self) -> _MaskView:
-        return _MaskView(self, 1)
+    def pulled_by(self) -> FrozenSet[int]:
+        """Cores that already pulled this state's cachelines cross-socket
+        (timing bookkeeping for the sweep cost model)."""
+        return _cores_of(self._mask_get(1))
 
     @pulled_by.setter
     def pulled_by(self, value) -> None:
@@ -458,55 +232,25 @@ class SoaLatrState:
 
     @active.setter
     def active(self, value: bool) -> None:
+        # States never reactivate (the flag is monotone), which is what
+        # makes the sweep cursor in LatrCoherence sound.
         flags = self._flags_get()
-        prev = flags & SOA_ACTIVE != 0
-        if value:
-            self._flags_put(flags | SOA_ACTIVE)
-        else:
-            self._flags_put(flags & ~SOA_ACTIVE)
-        if prev and not value and self.queue is not None:
+        self._flags_put(flags | SOA_ACTIVE if value else flags & ~SOA_ACTIVE)
+        if flags & SOA_ACTIVE and not value and self.queue is not None:
             self.queue.note_deactivated(self)
 
-    @property
-    def pte_applied(self) -> bool:
-        return self._flags_get() & SOA_PTE_APPLIED != 0
-
-    @pte_applied.setter
-    def pte_applied(self, value: bool) -> None:
-        flags = self._flags_get()
-        if value:
-            self._flags_put(flags | SOA_PTE_APPLIED)
-        else:
-            self._flags_put(flags & ~SOA_PTE_APPLIED)
-
-    @property
-    def reclaimed(self) -> bool:
-        return self._flags_get() & SOA_RECLAIMED != 0
-
-    @reclaimed.setter
-    def reclaimed(self, value: bool) -> None:
-        flags = self._flags_get()
-        if value:
-            self._flags_put(flags | SOA_RECLAIMED)
-        else:
-            self._flags_put(flags & ~SOA_RECLAIMED)
+    pte_applied = _flag_property(SOA_PTE_APPLIED)
+    reclaimed = _flag_property(SOA_RECLAIMED)
 
     def clear_cpu(self, core_id: int, now: int) -> bool:
-        """Semantics of :meth:`LatrState.clear_cpu` on the packed masks."""
-        if self._attached:
-            queue = self.queue
-            idx = self.slot_idx
-            mask = queue._mask_a[idx] & ~(1 << core_id)
-            queue._mask_a[idx] = mask
-            if mask == 0 and queue._flags_a[idx] & SOA_ACTIVE:
-                self.completed_at = now
-                self.active = False
-                self.done.succeed(self)
-                return True
-            return False
-        mask = self._cpu_mask & ~(1 << core_id)
-        self._cpu_mask = mask
-        if mask == 0 and self._flags & SOA_ACTIVE:
+        """Remove ``core_id`` from the bitmask; returns True when this was
+        the last core (the state deactivates, paper Figure 5 step 3).
+
+        The completion time is set before ``active`` flips: the
+        deactivation notification (and the done callbacks) may read it."""
+        mask = self._mask_get(0) & ~(1 << core_id)
+        self._mask_put(0, mask)
+        if mask == 0 and self._flags_get() & SOA_ACTIVE:
             self.completed_at = now
             self.active = False
             self.done.succeed(self)
@@ -514,16 +258,21 @@ class SoaLatrState:
         return False
 
 
-class SoaLatrQueue:
-    """Struct-of-arrays per-core cyclic LATR queue.
+class LatrStateQueue:
+    """A per-core cyclic queue of LATR states, laid out as struct-of-arrays.
 
-    Same ring/full/notification contract as :class:`LatrStateQueue`, but the
-    per-slot hot fields are parallel arrays indexed by slot: ``_seq_a``
-    (posting sequence, 0 = never used), ``_mask_a``/``_pulled_a`` (int core
-    bitmasks), ``_flags_a`` (a bytearray of SOA_* bits), ``_vpn_a``/
-    ``_npages_a`` (the virtual range) and ``_posted_a`` (post timestamps).
-    ``_slots`` keeps the state handles so existing observers (snapshots, the
-    model checker, mutations) walk the queue exactly as before.
+    'Lock-free' in the paper means entries are claimed and cleared with
+    atomics; in the simulator the discrete-event loop serializes accesses,
+    so the queue is a plain ring with an explicit full condition: the slot
+    at the write cursor still being active means the queue is full and the
+    poster must fall back to IPIs (paper sections 4.2, 8).
+
+    The per-slot hot fields are parallel arrays indexed by slot:
+    ``_mask_a``/``_pulled_a`` (int core bitmasks), ``_flags_a`` (a
+    bytearray of SOA_* bits) and ``_vpn_a``/``_npages_a`` (the virtual
+    range).
+    ``_slots`` keeps the state handles for observers (snapshots, the model
+    checker, mutations) that walk the queue.
     """
 
     def __init__(self, core_id: int, depth: int = DEFAULT_QUEUE_DEPTH):
@@ -531,24 +280,32 @@ class SoaLatrQueue:
             raise ValueError("queue depth must be positive")
         self.core_id = core_id
         self.depth = depth
-        self._slots: List[Optional[SoaLatrState]] = [None] * depth
-        self._seq_a: List[int] = [0] * depth
+        self._slots: List[Optional[LatrState]] = [None] * depth
         self._mask_a: List[int] = [0] * depth
         self._pulled_a: List[int] = [0] * depth
         self._flags_a = bytearray(depth)
         self._vpn_a: List[int] = [0] * depth
         self._npages_a: List[int] = [0] * depth
-        self._posted_a: List[int] = [0] * depth
         self._cursor = 0
         self.posts = 0
         self.full_rejections = 0
+        #: Number of currently-active states in this queue; sweeps skip the
+        #: queue entirely when it is zero.
         self.active_count = 0
+        #: The active posted states keyed by seq (kept exact by the same
+        #: post/deactivation notifications as ``active_count``).
         self._active_map: dict = {}
+        #: Optional owner implementing ``note_posted(queue, state)`` /
+        #: ``note_deactivated(queue, state)`` (the LatrCoherence sweep index).
         self.index = None
 
-    def post(self, state: SoaLatrState) -> bool:
-        """Install a state; False when the queue is full (same reusability
-        rule as the object model: inactive *and* reclaimed)."""
+    def post(self, state: LatrState) -> bool:
+        """Install a state; False when the queue is full (caller falls back).
+
+        A slot is reusable once its state is inactive *and* reclaimed (for
+        FREE states the record must survive until the reclamation daemon has
+        freed the pages it references).
+        """
         idx = self._cursor
         flags_a = self._flags_a
         old = self._slots[idx]
@@ -559,14 +316,12 @@ class SoaLatrQueue:
                 return False
             old._detach()
         self._slots[idx] = state
-        self._seq_a[idx] = state.seq
         self._mask_a[idx] = state._cpu_mask
         self._pulled_a[idx] = state._pulled_mask
         flags_a[idx] = state._flags
         vrange = state.vrange
         self._vpn_a[idx] = vrange.vpn_start
         self._npages_a[idx] = vrange.n_pages
-        self._posted_a[idx] = state.posted_at
         state.slot_idx = idx
         state.queue = self
         state._attached = True
@@ -579,26 +334,32 @@ class SoaLatrQueue:
                 self.index.note_posted(self, state)
         return True
 
-    def note_deactivated(self, state: SoaLatrState) -> None:
+    def note_deactivated(self, state: LatrState) -> None:
+        """A posted state flipped active -> inactive (called by the
+        ``LatrState.active`` setter exactly once per state)."""
         if self.active_count > 0:
             self.active_count -= 1
         self._active_map.pop(state.seq, None)
         if self.index is not None:
             self.index.note_deactivated(self, state)
 
-    def active_states(self) -> Iterator[SoaLatrState]:
+    def active_states(self) -> Iterator[LatrState]:
         flags_a = self._flags_a
         for idx, state in enumerate(self._slots):
             if state is not None and flags_a[idx] & SOA_ACTIVE:
                 yield state
 
-    def active_states_after(self, seq: int) -> List[SoaLatrState]:
+    def active_states_after(self, seq: int) -> List[LatrState]:
+        """Active states with a posting sequence newer than ``seq``, in slot
+        order. O(active), not O(depth): the candidates come from the active
+        map and are put back into slot order by their recorded slot index
+        (at most one active state per slot, so the ordering is total)."""
         states = [s for s in self._active_map.values() if s.seq > seq]
         if len(states) > 1:
             states.sort(key=_slot_key)
         return states
 
-    def all_states(self) -> Iterator[SoaLatrState]:
+    def all_states(self) -> Iterator[LatrState]:
         for state in self._slots:
             if state is not None:
                 yield state

@@ -4,7 +4,7 @@ Two claims, proven by enumeration rather than sampling:
 
 * **Healthy exhaustion** -- at the reference small scope, *every* reduced
   interleaving of program ops, sweeps, and reclaim rounds passes the
-  invariant monitor, drains, and agrees with the fast-path-toggled and
+  invariant monitor, drains, and agrees with the timer-wheel and
   synchronous-mechanism replays. The exploration shards across the run-cell
   backend one root branch per cell -- the same left-to-right sleep-set
   split ``run_mc`` uses internally, so ``--jobs N`` output is byte-identical

@@ -25,14 +25,11 @@ class Machine:
         latency: Optional[LatencyModel] = None,
         stats: Optional[StatsRegistry] = None,
         pcid_enabled: bool = False,
-        use_tlb_index: Optional[bool] = None,
-        gate_latencies: Optional[bool] = None,
-        use_packed_tlb: Optional[bool] = None,
     ):
         self.sim = sim
         self.spec = spec
         self.latency = latency or DEFAULT_LATENCY
-        self.stats = stats or StatsRegistry(sim, gate_latencies=gate_latencies)
+        self.stats = stats or StatsRegistry(sim)
         self.pcid_enabled = pcid_enabled
         self.topology = Topology(spec)
         self.cores: List[Core] = [
@@ -40,12 +37,7 @@ class Machine:
                 core_id=c,
                 socket=spec.socket_of(c),
                 sim=sim,
-                tlb=Tlb(
-                    spec.l1_dtlb_entries,
-                    pcid_enabled=pcid_enabled,
-                    use_index=use_tlb_index,
-                    use_packed=use_packed_tlb,
-                ),
+                tlb=Tlb(spec.l1_dtlb_entries, pcid_enabled=pcid_enabled),
             )
             for c in range(spec.total_cores)
         ]

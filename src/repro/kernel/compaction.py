@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Tuple
 
 from ..mm.addr import VirtRange
+from ..mm.frames import FrameAllocatorError
 from ..mm.pte import Pte
 from .task import KProcess
 
@@ -96,7 +97,7 @@ class Compactor:
                 old_pfn = current.pfn
                 try:
                     new_pfn = kernel.frames.alloc(node, exclude=block)
-                except Exception:
+                except FrameAllocatorError:
                     break  # out of space outside the block; stop this round
                 yield from core.execute(lat.page_alloc_ns + lat.page_copy_ns)
                 tag = kernel.page_contents.get(old_pfn)

@@ -10,13 +10,13 @@ Apache experiment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..coherence.base import ShootdownReason
 from ..hw.tlb import TlbEntry, entry_pfn, entry_writable
 from ..mm.addr import PAGE_SIZE, VirtRange, page_align_up, vpn_of
 from ..mm.fault import FaultResult, SegmentationFault
-from ..mm.pte import Pte, PteFlags, make_present_pte
+from ..mm.pte import PteFlags, make_present_pte
 from ..mm.vma import Prot, Vma, VmaKind
 from .task import KProcess, Task
 
@@ -394,19 +394,16 @@ class Syscalls:
         AutoNUMA migrations exist to buy back.
 
         Plain touches (no ``process_data``) take a flat batched fault path
-        by default (see :meth:`_touch_pages_batched`); the
-        ``use_batched_faults`` kernel flag is the escape hatch back to the
-        generic per-page handler.
+        (see :meth:`_touch_pages_batched`); ``process_data`` touches go
+        through the generic per-page handler.
         """
-        if self.kernel.use_batched_faults and not process_data:
+        if not process_data:
             yield from self._touch_pages_batched(task, core, vrange, write)
             return
         lat = self.kernel.machine.latency
         topo = self.kernel.machine.topology
         for vpn in vrange.vpns():
             yield from self.access(task, core, vpn * PAGE_SIZE, write=write)
-            if not process_data:
-                continue
             pte = task.mm.page_table.walk(vpn)
             if pte is None or pte.swapped:
                 continue
@@ -424,8 +421,7 @@ class Syscalls:
         This path keeps the *model* bit-identical (same counters, same
         ``core.execute`` amounts at the same points relative to
         ``mmap_sem`` acquire/release, same TLB fills and coherence hooks,
-        same frame-allocation order -- the bench differential gate diffs
-        batched vs. unbatched runs) but handles the common case in one
+        same frame-allocation order as the per-page path) but handles the common case in one
         stack frame. Any page that turns out not to be a plain 4 KiB
         anonymous demand fault is delegated to the generic handler.
         """

@@ -148,22 +148,15 @@ class _FreeList:
 #: (same contract as ``repro.hw.tlb._VERSIONS``).
 _VERSIONS = count(1)
 
-#: Default for ``FrameAllocator(use_slabs=...)`` when left unspecified.
-DEFAULT_USE_FRAME_SLABS = True
-
 
 class FrameAllocator:
     """Per-node free lists of physical frame numbers (PFNs)."""
 
-    def __init__(self, nodes: int, frames_per_node: int, use_slabs: Optional[bool] = None):
+    def __init__(self, nodes: int, frames_per_node: int):
         if nodes < 1 or frames_per_node < 1:
             raise ValueError("need at least one node and one frame")
         self.nodes = nodes
         self.frames_per_node = frames_per_node
-        #: Batched-free escape hatch: with slabs on, bulk releases go
-        #: through :meth:`free_batch` (one version mint, per-node slab
-        #: extends); off forces the one-``put``-per-frame legacy path.
-        self.use_slabs = DEFAULT_USE_FRAME_SLABS if use_slabs is None else bool(use_slabs)
         self._free: List[_FreeList] = [
             _FreeList(fresh=range(node * frames_per_node, (node + 1) * frames_per_node))
             for node in range(nodes)
@@ -298,13 +291,13 @@ class FrameAllocator:
         """Drop one reference per PFN, recycling zero-refcount frames
         through per-node slabs. Returns the PFNs actually freed, in order.
 
-        The slab path is the batched twin of calling :meth:`put` in a
-        loop: every refcount decrement, generation bump, free-list entry
-        and error is identical (per-node slab extends preserve each
-        node's append order exactly), but the version counter is minted
-        once per batch -- legal because version *values* are never
-        compared across runs, only for change detection -- and the dict
-        and list lookups are hoisted out of the loop. A munmap of a large
+        The batched twin of calling :meth:`put` in a loop: every refcount
+        decrement, generation bump, free-list entry and error is identical
+        (per-node slab extends preserve each node's append order exactly),
+        but the version counter is minted once per batch -- legal because
+        version *values* are never compared across runs, only for change
+        detection -- and the dict and list lookups are hoisted out of the
+        loop. A munmap of a large
         VMA releases thousands of frames in one call; at fleet scale this
         is the allocator's hot path.
         """

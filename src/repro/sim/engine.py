@@ -13,9 +13,10 @@ Internally the simulator keeps near-future events in a timer wheel
 covering ~2.1 ms -- comfortably past the 1 ms scheduler tick) and lets
 far-future events overflow to a binary heap. Event ordering is *identical*
 to a pure heap: everything executes strictly by ``(time, seq)``, with ``seq``
-allocated in schedule order. ``Simulator(use_timer_wheel=False)`` routes all
-events through the heap instead, which the differential tests use to prove
-the wheel changes nothing observable.
+allocated in schedule order. A simulator with a ``choice_hook`` routes all
+events through the heap instead (the hook needs the exact ready set), which
+the differential tests also use to prove the wheel changes nothing
+observable.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ WHEEL_SPAN_NS = WHEEL_SLOT_NS * WHEEL_SLOTS
 
 #: Buckets shorter than this are never compacted -- lazy pop handles them.
 _COMPACT_MIN = 8
-
-#: Default for ``Simulator(use_timer_wheel=...)`` when left unspecified.
-DEFAULT_USE_TIMER_WHEEL = True
 
 
 class SimulationError(RuntimeError):
@@ -280,11 +278,8 @@ class Simulator:
 
     def __init__(
         self,
-        use_timer_wheel: Optional[bool] = None,
         choice_hook: Optional[Callable[[List[EventHandle]], Optional[int]]] = None,
     ):
-        if use_timer_wheel is None:
-            use_timer_wheel = DEFAULT_USE_TIMER_WHEEL
         #: Controllable dispatch: when set, every dispatch first gathers the
         #: *ready set* -- all pending events due at the earliest timestamp --
         #: and calls ``choice_hook(ready)``; the hook returns the index of the
@@ -292,9 +287,7 @@ class Simulator:
         #: model checker uses this to observe and pin same-instant races.
         #: Forces heap mode: the ready set must be extractable exactly.
         self.choice_hook = choice_hook
-        if choice_hook is not None:
-            use_timer_wheel = False
-        self._use_wheel = bool(use_timer_wheel)
+        self._use_wheel = choice_hook is None
         self._seq = 0
         self._now = 0
         self._running = False
@@ -606,18 +599,21 @@ class Simulator:
         return executed
 
     def _pop_next(self) -> EventHandle:
-        """Remove and return the event _peek_next() just reported."""
-        if self._use_wheel and self._current:
-            handle = heapq.heappop(self._current)
-            self._wheel_count -= 1
-        else:
-            handle = heapq.heappop(self._overflow)
+        """Remove and return the event _peek_next() just reported (without
+        a choice hook, _peek_next() always leaves the head in the active
+        slot)."""
+        handle = heapq.heappop(self._current)
+        self._wheel_count -= 1
         handle._scheduled = False
         self._pending_live -= 1
         return handle
 
     def _execute(self, handle: EventHandle) -> None:
         self._now = handle.time
+        if self.order_log is not None:
+            # Logged before the callback: a periodic handle's re-arm
+            # rewrites its time and seq.
+            self.order_log.append((handle.time, handle.seq))
         if handle.interval is None:
             handle.fn(*handle.args)
         else:
@@ -633,8 +629,6 @@ class Simulator:
                 self._rearm(handle)
         self.events_executed += 1
         Simulator.total_events_executed += 1
-        if self.order_log is not None:
-            self.order_log.append((handle.time, handle.seq))
 
     def signal(self) -> Signal:
         """Create a fresh one-shot signal bound to this simulator."""
@@ -686,7 +680,6 @@ class Simulator:
         # trading away. step() keeps the readable composed form.
         peek = self._peek_next
         pop = heapq.heappop
-        use_wheel = self._use_wheel
         rearm = self._rearm
         try:
             while True:
@@ -694,9 +687,10 @@ class Simulator:
                     break
                 # Fast path: a live head at the front of the active slot.
                 # Everything else (cancelled heads, wheel advance, overflow
-                # refill, heap-only mode) funnels through _peek_next().
+                # refill) funnels through _peek_next(), which leaves the
+                # head at the front of the active slot.
                 current = self._current
-                if use_wheel and current and not current[0].cancelled:
+                if current and not current[0].cancelled:
                     head = current[0]
                 else:
                     head = peek()
@@ -705,14 +699,14 @@ class Simulator:
                 time = head.time
                 if until is not None and time > until:
                     break
-                if use_wheel and self._current:
-                    pop(self._current)
-                    self._wheel_count -= 1
-                else:
-                    pop(self._overflow)
+                pop(self._current)
+                self._wheel_count -= 1
                 head._scheduled = False
                 self._pending_live -= 1
                 self._now = time
+                order_log = self.order_log
+                if order_log is not None:
+                    order_log.append((time, head.seq))
                 if head.interval is None:
                     head.fn(*head.args)
                 else:
@@ -726,9 +720,6 @@ class Simulator:
                     else:
                         rearm(head)
                 executed += 1
-                order_log = self.order_log
-                if order_log is not None:
-                    order_log.append((time, head.seq))
         finally:
             self._running = False
             self.events_executed += executed

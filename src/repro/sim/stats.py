@@ -21,28 +21,11 @@ from .engine import SEC, Simulator
 #: skip untouched recorders on the model checker's backtracking hot path.
 _VERSIONS = count(1)
 
-#: Recorder window states. A gated recorder accepts samples while FREE
+#: Recorder window states. A recorder accepts samples while FREE
 #: (no measurement window yet -- workloads that never open one keep the
 #: old record-everything behaviour) and while OPEN; opening the window
 #: discards warmup samples, closing it drops everything after.
 _WIN_FREE, _WIN_OPEN, _WIN_CLOSED = 0, 1, 2
-
-#: Process-wide default for whether registries gate latency/quantile
-#: recorders on the measurement window. ``--legacy-latency-stats`` flips
-#: this off so old (warmup-polluted) tables can be reproduced for A/B.
-_GATE_LATENCIES_DEFAULT = True
-
-
-def set_latency_gating(enabled: bool) -> None:
-    """Escape hatch: registries built after this call gate (or don't gate)
-    latency recorders on the measurement window."""
-    global _GATE_LATENCIES_DEFAULT
-    _GATE_LATENCIES_DEFAULT = bool(enabled)
-
-
-def latency_gating_enabled() -> bool:
-    return _GATE_LATENCIES_DEFAULT
-
 
 class Counter:
     """A named monotonic counter."""
@@ -133,16 +116,13 @@ class _SampleList(list):
 class LatencyRecorder:
     """Collects latency samples (ns) and reports summary statistics.
 
-    When ``gated`` (the registry decides at creation time), the recorder
-    participates in the measurement window that ``RateWindow`` already
-    honours: ``start_window`` discards warmup samples, ``stop_window``
-    drops everything recorded after.  Ungated recorders ignore both calls
-    and keep the historical record-everything behaviour.
+    The recorder participates in the measurement window that
+    ``RateWindow`` already honours: ``start_window`` discards warmup
+    samples, ``stop_window`` drops everything recorded after.
     """
 
-    def __init__(self, name: str, gated: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.gated = gated
         self._window_state = _WIN_FREE
         self._version = next(_VERSIONS)
         self._samples: _SampleList = _SampleList(self)
@@ -151,16 +131,12 @@ class LatencyRecorder:
 
     def start_window(self) -> None:
         """Begin the measurement window: forget warmup samples."""
-        if not self.gated:
-            return
         self._window_state = _WIN_OPEN
         # clear() bumps the version, covering the state change too.
         self._samples.clear()
 
     def stop_window(self) -> None:
         """Close the window: subsequent samples are dropped."""
-        if not self.gated:
-            return
         self._window_state = _WIN_CLOSED
         self._version = next(_VERSIONS)
 
@@ -274,7 +250,6 @@ class QuantileRecorder:
 
     __slots__ = (
         "name",
-        "gated",
         "_window_state",
         "_version",
         "_bins",
@@ -284,9 +259,8 @@ class QuantileRecorder:
         "_max",
     )
 
-    def __init__(self, name: str, gated: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.gated = gated
         self._window_state = _WIN_FREE
         self._version = next(_VERSIONS)
         self._reset()
@@ -301,15 +275,11 @@ class QuantileRecorder:
     # ---- windowing ------------------------------------------------------------
 
     def start_window(self) -> None:
-        if not self.gated:
-            return
         self._window_state = _WIN_OPEN
         self._reset()
         self._version = next(_VERSIONS)
 
     def stop_window(self) -> None:
-        if not self.gated:
-            return
         self._window_state = _WIN_CLOSED
         self._version = next(_VERSIONS)
 
@@ -456,18 +426,12 @@ class RateWindow:
 class StatsRegistry:
     """Owns all counters/recorders for one simulated machine run.
 
-    ``gate_latencies`` decides whether latency/quantile recorders honour
-    the measurement window (the fixed behaviour) or record from t=0 (the
-    historical behaviour, kept behind ``set_latency_gating``/the
-    ``--legacy-latency-stats`` CLI flag for A/B comparisons). ``None``
-    defers to the process-wide default.
+    Latency and quantile recorders honour the measurement window, so
+    warmup samples never reach a reported percentile.
     """
 
-    def __init__(self, sim: Simulator, gate_latencies: Optional[bool] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        if gate_latencies is None:
-            gate_latencies = _GATE_LATENCIES_DEFAULT
-        self.gate_latencies = bool(gate_latencies)
         self._counters: Dict[str, Counter] = {}
         self._latencies: Dict[str, LatencyRecorder] = {}
         self._quantiles: Dict[str, QuantileRecorder] = {}
@@ -481,9 +445,7 @@ class StatsRegistry:
 
     def latency(self, name: str) -> LatencyRecorder:
         if name not in self._latencies:
-            rec = self._latencies[name] = LatencyRecorder(
-                name, gated=self.gate_latencies
-            )
+            rec = self._latencies[name] = LatencyRecorder(name)
             if self._windows_active:
                 # A measurement window is open: recorders created after
                 # warmup (first sample inside the window) join it directly.
@@ -492,9 +454,7 @@ class StatsRegistry:
 
     def quantile(self, name: str) -> QuantileRecorder:
         if name not in self._quantiles:
-            rec = self._quantiles[name] = QuantileRecorder(
-                name, gated=self.gate_latencies
-            )
+            rec = self._quantiles[name] = QuantileRecorder(name)
             if self._windows_active:
                 rec.start_window()
         return self._quantiles[name]

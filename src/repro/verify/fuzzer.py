@@ -93,12 +93,7 @@ def build_fuzz_system(
     with_tracer: bool = False,
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
-    latr_kwargs: Optional[Dict[str, object]] = None,
-    use_timer_wheel: Optional[bool] = None,
-    use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
 ) -> FuzzSystem:
     """Boot a system for one fuzz run, with every schedule knob applied
@@ -107,7 +102,7 @@ def build_fuzz_system(
     simulator_cls = Simulator
     if mutation is not None and mutation.simulator_cls is not None:
         simulator_cls = mutation.simulator_cls
-    sim = simulator_cls(use_timer_wheel=use_timer_wheel)
+    sim = simulator_cls()
     spec = preset("commodity-2s16c")
     if plan.n_cores >= 2 and plan.n_cores % 2 == 0:
         # Keep two NUMA nodes regardless of core count so migration and
@@ -121,25 +116,16 @@ def build_fuzz_system(
     else:
         spec = spec.with_cores(plan.n_cores)
 
-    if mutation is not None:
-        coherence_cls = mutation.coherence_cls or LatrCoherence
+    if mutation is not None or mechanism == "latr":
+        coherence_cls = (mutation and mutation.coherence_cls) or LatrCoherence
         coherence = coherence_cls(
             queue_depth=plan.schedule.queue_depth,
             reclaim_delay_ticks=plan.schedule.reclaim_delay_ticks,
-            **(latr_kwargs or {}),
-        )
-    elif mechanism == "latr":
-        coherence = LatrCoherence(
-            queue_depth=plan.schedule.queue_depth,
-            reclaim_delay_ticks=plan.schedule.reclaim_delay_ticks,
-            **(latr_kwargs or {}),
         )
     else:
         coherence = make_mechanism(mechanism)
 
-    machine = Machine(
-        sim, spec, use_tlb_index=use_tlb_index, use_packed_tlb=use_packed_tlb
-    )
+    machine = Machine(sim, spec)
     if mutation is not None and mutation.machine_patch is not None:
         mutation.machine_patch(machine)
     kernel = Kernel(
@@ -148,7 +134,6 @@ def build_fuzz_system(
         frames_per_node=frames_per_node,
         seed=plan.seed,
         use_pt_replication=use_pt_replication,
-        use_frame_slabs=use_frame_slabs,
         use_virtualization=use_virtualization,
     )
     if mutation is not None and mutation.kernel_patch is not None:
@@ -504,8 +489,8 @@ class RunResult:
     checks_run: int
     sim_time_ns: int
     tracer: Optional[Tracer] = field(default=None, repr=False)
-    #: StatsRegistry.summary() at end of run -- the sweep-index equivalence
-    #: tests assert this is bit-for-bit identical across implementations.
+    #: StatsRegistry.summary() at end of run -- the off-mode differentials
+    #: assert this is bit-for-bit identical across configurations.
     stats_summary: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -520,12 +505,7 @@ def run_one(
     with_tracer: bool = False,
     frames_per_node: int = FRAMES_PER_NODE,
     monitor_stride: int = 1,
-    latr_kwargs: Optional[Dict[str, object]] = None,
-    use_timer_wheel: Optional[bool] = None,
-    use_tlb_index: Optional[bool] = None,
     use_pt_replication: Optional[bool] = None,
-    use_packed_tlb: Optional[bool] = None,
-    use_frame_slabs: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     pool=None,
 ) -> RunResult:
@@ -546,12 +526,7 @@ def run_one(
             with_tracer=with_tracer,
             frames_per_node=frames_per_node,
             monitor_stride=monitor_stride,
-            latr_kwargs=latr_kwargs,
-            use_timer_wheel=use_timer_wheel,
-            use_tlb_index=use_tlb_index,
             use_pt_replication=use_pt_replication,
-            use_packed_tlb=use_packed_tlb,
-            use_frame_slabs=use_frame_slabs,
             use_virtualization=use_virtualization,
         )
 
@@ -564,9 +539,7 @@ def run_one(
             plan.schedule.queue_depth, plan.schedule.reclaim_delay_ticks,
             tuple(sorted(plan.schedule.tick_offsets.items())),
             frames_per_node, monitor_stride,
-            tuple(sorted((latr_kwargs or {}).items())),
-            use_timer_wheel, use_tlb_index, use_pt_replication,
-            use_packed_tlb, use_frame_slabs, use_virtualization,
+            use_pt_replication, use_virtualization,
         )
         system = pool.acquire(key, build)
     else:

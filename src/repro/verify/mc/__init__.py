@@ -3,8 +3,8 @@
 Enumerates every schedulable interleaving of coherence-relevant actions
 (program ops, per-core sweeps, reclaim rounds) at tiny scope, reduced by
 sleep-set DPOR and state hashing, with every complete trace checked by
-the invariant monitor and a differential oracle over the fast-path
-escape hatches and the synchronous mechanisms."""
+the invariant monitor and a differential oracle over the timer-wheel
+engine and the synchronous mechanisms."""
 
 from .executor import McExecutor, McScope, diff_mech_snapshots, racy_free_pages
 from .explorer import (

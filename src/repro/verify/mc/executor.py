@@ -27,15 +27,15 @@ the functional machine state (TLBs, page table, VMAs, allocator free
 lists, LATR queues with seq numbers normalized to posting order, thread
 PCs, in-flight set). Derived acceleration state (sweep cursors, the TLB's
 pcid index, the active-state cache) is excluded so the hash is invariant
-across the fast-path escape hatches -- except in mutated runs, where the
-broken derived state is the bug and is folded back in.
+across the replay variants -- except in mutated runs, where the broken
+derived state is the bug and is folded back in.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...coherence import make_mechanism
@@ -52,10 +52,10 @@ from ..mutations import mutation_spec
 from .program import McOp, generate_program, per_core_programs
 
 #: Replay variants. ``primary`` is the exploration schedule; the others
-#: re-run a trace with one fast-path escape hatch or engine order flipped
+#: re-run a trace on the timer-wheel engine or with engine order flipped
 #: (identical end state required), or under a synchronous mechanism
 #: (normalized end state required).
-TOGGLE_VARIANTS = ("wheel", "tlbidx", "sweepidx", "soa", "packedtlb", "slabs")
+TOGGLE_VARIANTS = ("wheel",)
 ORDER_VARIANTS = ("revheap",)
 
 #: LatrFlag member -> .name memo: enum attribute access goes through a
@@ -135,7 +135,8 @@ class McExecutor:
         if self.mutation is not None and self.mutation.simulator_cls is not None:
             simulator_cls = self.mutation.simulator_cls
         if variant == "wheel":
-            sim = simulator_cls(use_timer_wheel=True)
+            # No choice hook: the timer-wheel engine.
+            sim = simulator_cls()
         elif variant == "revheap":
             sim = simulator_cls(choice_hook=lambda ready: len(ready) - 1)
         else:
@@ -154,20 +155,12 @@ class McExecutor:
                 reclaim_delay_ticks=0,
                 sweep_on_context_switch=False,
                 sweep_on_tick=False,
-                use_sweep_index=(variant != "sweepidx"),
-                use_soa_states=(variant != "soa"),
             )
-        machine = Machine(
-            sim,
-            _build_spec(scope.cores),
-            use_tlb_index=(False if variant == "tlbidx" else None),
-            use_packed_tlb=(False if variant == "packedtlb" else None),
-        )
+        machine = Machine(sim, _build_spec(scope.cores))
         if self.mutation is not None and self.mutation.machine_patch is not None:
             self.mutation.machine_patch(machine)
         kernel = Kernel(
-            machine, coherence, frames_per_node=scope.frames_per_node, seed=1,
-            use_frame_slabs=(False if variant == "slabs" else None),
+            machine, coherence, frames_per_node=scope.frames_per_node, seed=1
         )
         if self.mutation is not None and self.mutation.kernel_patch is not None:
             self.mutation.kernel_patch(kernel)
@@ -240,9 +233,7 @@ class McExecutor:
             for queue in self.coherence.queues.values():
                 for state in queue._slots:
                     if state is not None and state.active:
-                        # update() accepts any iterable of core ids (the SoA
-                        # model's mask view included); |= needs a real set.
-                        cores_with_bits.update(state.cpu_bitmask)
+                        cores_with_bits |= state.cpu_bitmask
             actions.extend(f"sweep:c{c}" for c in sorted(cores_with_bits))
             pending = self.coherence._pending_reclaim
             if self._eager_reclaim:
@@ -427,10 +418,8 @@ class McExecutor:
             cache_key = (core.id, include_derived)
             hit = canon_cache.get(cache_key)
             if hit is None or hit[0] != version:
-                # canonical_rows() yields identical tuples from the packed
-                # and legacy representations, so toggle-variant hashes agree.
                 row = (core.id, tlb.canonical_rows(), tlb.canonical_huge_rows())
-                if include_derived and tlb.use_index:
+                if include_derived:
                     row += (
                         sorted((k, sorted(v)) for k, v in tlb._index.items()),
                     )

@@ -16,7 +16,7 @@ bug lives (coherence algorithm, simulator engine, or TLB hardware model):
 * ``wheel_bucket_skip`` -- the timer-wheel engine silently drops every
   Nth activated bucket, modelling a lost timer interrupt batch: sweeps,
   reclaim rounds, or op resumptions vanish and the system stops making
-  progress (and diverges from the ``use_timer_wheel=False`` heap replay).
+  progress (and diverges from the heap replay a ``choice_hook`` forces).
 * ``tlb_index_desync`` -- the per-pcid TLB victim index misses every
   second fill, so indexed range invalidations skip a resident entry:
   a stale translation survives the shootdown and races the frame free.
@@ -78,7 +78,7 @@ class Mutation:
     * ``"monitor"`` -- instant-level invariant violations,
     * ``"progress"`` -- stall/drain guards (lazy work never completes),
     * ``"equivalence"`` -- differential replay against the reference
-      configuration (escape hatch off / other mechanism) diverges.
+      configuration (heap engine / other mechanism) diverges.
     """
 
     name: str
@@ -121,7 +121,7 @@ class EagerReclaimLatr(LatrCoherence):
             if now - state.posted_at < delay:  # BUG: no state.active guard
                 still_pending.append(state)
                 continue
-            state.cpu_bitmask.clear()
+            state.cpu_bitmask = 0
             if state.active:
                 state.active = False
                 state.completed_at = now
@@ -167,9 +167,9 @@ class SkipSweepInvalidateLatr(LatrCoherence):
 class BucketSkipSimulator(Simulator):
     """Mutation: the timer wheel drops every Nth activated bucket.
 
-    Models a lost batch of timer interrupts. Inert in heap mode
-    (``use_timer_wheel=False`` never advances the wheel), which is exactly
-    what makes the wheel-vs-heap differential replay catch it.
+    Models a lost batch of timer interrupts. Inert in heap mode (a
+    simulator with a ``choice_hook`` never advances the wheel), which is
+    exactly what makes the wheel-vs-heap differential replay catch it.
     """
 
     mutation = "wheel_bucket_skip"
@@ -198,8 +198,6 @@ def desync_tlb_index(machine: Machine) -> None:
     index, so indexed range invalidations miss a resident entry."""
     for core in machine.cores:
         tlb = core.tlb
-        if not tlb.use_index:
-            continue
         fills = [0]
         original_fill_new = tlb.fill_new
 
@@ -212,20 +210,8 @@ def desync_tlb_index(machine: Machine) -> None:
                 # translation stays resident but invisible to shootdowns.
                 _tlb._index_drop(_tlb._index, _tlb._key(pcid, vpn))
 
+        # ``fill`` routes through the instance's patched ``fill_new``.
         tlb.fill_new = fill_new
-        if not tlb.packed:
-            # Legacy representation: ``fill`` installs entries without
-            # delegating to ``fill_new``, so it needs its own patch (packed
-            # ``fill`` routes through the instance's patched ``fill_new``).
-            original_fill = tlb.fill
-
-            def fill(pcid, vpn, entry, _tlb=tlb, _orig=original_fill, _fills=fills):
-                _orig(pcid, vpn, entry)
-                _fills[0] += 1
-                if _fills[0] % 2 == 0:
-                    _tlb._index_drop(_tlb._index, _tlb._key(pcid, vpn))
-
-            tlb.fill = fill
 
 
 class StaleActiveCacheLatr(LatrCoherence):

@@ -65,9 +65,6 @@ class OpenLoopConfig:
     warmup_ms: int = 5
     duration_ms: int = 50
     seed: int = 1
-    #: Escape hatches, forwarded to build_system for A/B differentials.
-    use_batched_faults: Optional[bool] = None
-    gate_latencies: Optional[bool] = None
 
 
 class OpenLoopWorkload:
@@ -86,10 +83,6 @@ class OpenLoopWorkload:
             seed=cfg.seed,
             **mechanism_kwargs,
         )
-        if cfg.use_batched_faults is not None:
-            build_kwargs["use_batched_faults"] = cfg.use_batched_faults
-        if cfg.gate_latencies is not None:
-            build_kwargs["gate_latencies"] = cfg.gate_latencies
         system = warm_build_system(mechanism, **build_kwargs)
         sim = system.sim
         kernel = system.kernel

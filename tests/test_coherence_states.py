@@ -1,6 +1,7 @@
 """Unit tests for LATR state records and the per-core cyclic queue."""
 
 import pytest
+from helpers import ShadowLatrQueue, ShadowLatrState
 
 from repro.coherence.states import (
     DEFAULT_QUEUE_DEPTH,
@@ -14,19 +15,21 @@ from repro.mm.mmstruct import MmStruct
 from repro.sim.engine import Signal, Simulator
 
 
-def make_state(sim=None, cpus=(1, 2), flag=LatrFlag.FREE, reclaimed_ok=True):
+def make_state_of(state_cls, sim=None, cpus=(1, 2), flag=LatrFlag.FREE):
     sim = sim or Simulator()
-    mm = MmStruct(sim)
-    state = LatrState(
+    return state_cls(
         vrange=VirtRange.from_pages(10, 1),
-        mm=mm,
+        mm=MmStruct(sim),
         cpu_bitmask=set(cpus),
         flag=flag,
         owner_core=0,
         posted_at=0,
         done=Signal(sim),
     )
-    return state
+
+
+def make_state(sim=None, cpus=(1, 2), flag=LatrFlag.FREE):
+    return make_state_of(LatrState, sim, cpus, flag)
 
 
 class TestLatrState:
@@ -112,30 +115,14 @@ class TestLatrStateQueue:
             LatrStateQueue(0, depth=0)
 
 
-from repro.coherence.states import SoaLatrQueue, SoaLatrState
-
-
-def make_state_of(state_cls, sim=None, cpus=(1, 2), flag=LatrFlag.FREE):
-    sim = sim or Simulator()
-    mm = MmStruct(sim)
-    return state_cls(
-        vrange=VirtRange.from_pages(10, 1),
-        mm=mm,
-        cpu_bitmask=set(cpus),
-        flag=flag,
-        owner_core=0,
-        posted_at=0,
-        done=Signal(sim),
-    )
-
-
 @pytest.mark.parametrize(
     "queue_cls,state_cls",
-    [(LatrStateQueue, LatrState), (SoaLatrQueue, SoaLatrState)],
+    [(ShadowLatrQueue, ShadowLatrState), (LatrStateQueue, LatrState)],
     ids=["object", "soa"],
 )
 class TestQueueDepthBoundary:
-    """The cyclic ring at its depth limit, for both representations."""
+    """The cyclic ring at its depth limit: the struct-of-arrays queue and
+    the object-model reference queue the property tests compare it with."""
 
     def test_overflow_rejected_at_depth(self, queue_cls, state_cls):
         q = queue_cls(core_id=0, depth=3)

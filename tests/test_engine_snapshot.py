@@ -13,6 +13,7 @@ Covers the satellite regressions that ride with the snapshot work:
 
 import hypothesis.strategies as st
 import pytest
+from helpers import make_sim
 from hypothesis import HealthCheck, given, settings
 
 from repro.sim.engine import (
@@ -32,7 +33,7 @@ class TestCancelVsEvery:
 
     @pytest.mark.parametrize("wheel", [True, False])
     def test_cancel_from_inside_plain_callback(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+        sim = make_sim(wheel)
         fired = []
 
         def tick():
@@ -51,7 +52,7 @@ class TestCancelVsEvery:
         # The body runs as a Process at each firing; a cancel issued from
         # *inside* the body must suppress the re-arm that happens when the
         # body completes, with no further firings afterwards.
-        sim = Simulator(use_timer_wheel=wheel)
+        sim = make_sim(wheel)
         fired = []
 
         def body():
@@ -106,7 +107,7 @@ class TestPendingBookkeepingAudit:
     fork/restore."""
 
     def test_bucket_compaction_keeps_pending_exact(self):
-        sim = Simulator(use_timer_wheel=True)
+        sim = Simulator()
         t = 5 * WHEEL_SLOT_NS + 7  # all land in the same far bucket
         handles = [sim.at(t, (lambda: None)) for _ in range(12)]
         assert len(handles) >= _COMPACT_MIN
@@ -124,7 +125,7 @@ class TestPendingBookkeepingAudit:
         # Fork *before* the compaction, cancel past the threshold (which
         # compacts the bucket and orphans the dead handles), then restore:
         # every handle must be live again and fire exactly once.
-        sim = Simulator(use_timer_wheel=True)
+        sim = Simulator()
         fired = []
         t = 5 * WHEEL_SLOT_NS + 7
         handles = [sim.at(t, fired.append, i) for i in range(12)]
@@ -139,7 +140,7 @@ class TestPendingBookkeepingAudit:
 
     @pytest.mark.parametrize("wheel", [True, False])
     def test_fork_restore_roundtrip_counts(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+        sim = make_sim(wheel)
         log = []
         handles = [sim.after(10 * (i + 1), log.append, i) for i in range(6)]
         sim.run(until=25)
@@ -220,7 +221,7 @@ class TestScheduleCancelForkRestoreProperty:
         ),
     )
     def test_pending_matches_shadow_model(self, wheel, ops):
-        sim = Simulator(use_timer_wheel=wheel)
+        sim = make_sim(wheel)
         fired = []
         live = {}  # handle -> None: the shadow model of live one-shots
         snap = None  # (engine snapshot, shadow copy)

@@ -1,18 +1,20 @@
 """Tests for the timer-wheel simulator core and the periodic-event fast path.
 
-The wheel is a pure wall-clock optimisation: with ``use_timer_wheel`` on or
-off, the engine must execute the exact same events in the exact same
-``(time, seq)`` order, and every modelled result -- stats tables, mechanism
-snapshots, simulated time, per-core TLB counters -- must be bit-identical.
-The differential tests below replay full fuzzer plans and a pure
-engine-churn microbench under both configurations and compare everything.
+The wheel is a pure wall-clock optimisation: against the plain heap a
+choice hook forces (the test-local ``HeapSimulator``), the engine must
+execute the exact same events in the exact same ``(time, seq)`` order, and
+every modelled result -- stats tables, mechanism snapshots, simulated time,
+per-core TLB counters -- must be bit-identical. The differential tests
+below replay full fuzzer plans and a pure engine-churn microbench on both
+engines and compare everything.
 """
 
 from __future__ import annotations
 
 import pytest
-from helpers import drain, make_proc, run_to_completion
+from helpers import HeapSimulator, drain, make_proc, make_sim, run_to_completion
 
+import repro
 from repro import build_system
 from repro.bench import run_engine_stress
 from repro.mm.addr import PAGE_SIZE
@@ -23,18 +25,20 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
+from repro.verify import fuzzer
 from repro.verify.fuzzer import run_one
 from repro.verify.plan import generate_plan
 
 
 class TestWheelHeapDifferential:
-    """Wheel on vs off: identical modelled behaviour, end to end."""
+    """Wheel vs heap: identical modelled behaviour, end to end."""
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
-    def test_fuzz_plans_identical(self, seed):
+    def test_fuzz_plans_identical(self, seed, monkeypatch):
         plan = generate_plan(seed, 40, n_cores=4, n_procs=2)
-        wheel = run_one("latr", plan, use_timer_wheel=True, use_tlb_index=True)
-        heap = run_one("latr", plan, use_timer_wheel=False, use_tlb_index=False)
+        wheel = run_one("latr", plan)
+        monkeypatch.setattr(fuzzer, "Simulator", HeapSimulator)
+        heap = run_one("latr", plan)
         assert wheel.clean, (wheel.violations, wheel.errors)
         assert heap.clean, (heap.violations, heap.errors)
         assert wheel.stats_summary == heap.stats_summary
@@ -42,20 +46,17 @@ class TestWheelHeapDifferential:
         assert wheel.sim_time_ns == heap.sim_time_ns
 
     def test_engine_stress_order_identical(self):
-        _sim, wheel_order = run_engine_stress(
-            20_000, use_timer_wheel=True, record_order=True
-        )
-        _sim, heap_order = run_engine_stress(
-            20_000, use_timer_wheel=False, record_order=True
-        )
+        _sim, wheel_order = run_engine_stress(20_000)
+        _sim, heap_order = run_engine_stress(20_000, heap=True)
         assert wheel_order == heap_order
         assert len(wheel_order) == 20_000
 
-    def test_tlb_stats_identical(self):
-        def run(flags):
-            system = build_system(
-                "latr", cores=4, use_timer_wheel=flags, use_tlb_index=flags
-            )
+    def test_tlb_stats_identical(self, monkeypatch):
+        def run(wheel):
+            with monkeypatch.context() as patch:
+                if not wheel:
+                    patch.setattr(repro, "Simulator", HeapSimulator)
+                system = build_system("latr", cores=4)
             kernel = system.kernel
             _proc, tasks = make_proc(system)
             sc = kernel.syscalls
@@ -278,7 +279,7 @@ class TestWheelEdges:
 
     def test_heap_only_mode_equivalent(self):
         def exercise(use_wheel):
-            sim = Simulator(use_timer_wheel=use_wheel)
+            sim = make_sim(use_wheel)
             sim.order_log = []
             for i in range(40):
                 delay = (i * 7919) % (3 * WHEEL_SPAN_NS) + 1

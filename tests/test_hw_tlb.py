@@ -1,5 +1,7 @@
 """Unit tests for the TLB model."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -118,55 +120,187 @@ class TestPcid:
 
 _TLB_OPS = st.lists(
     st.tuples(
+        # Fill-heavy, so the small test arrays overflow and evict.
         st.sampled_from(
-            ["fill", "fill_huge", "lookup", "inv_page", "inv_range", "flush_pcid", "flush_all"]
+            ["fill"] * 4
+            + ["fill_huge", "lookup", "lookup", "inv_page", "inv_range", "flush_pcid", "flush_all"]
         ),
         st.integers(min_value=1, max_value=3),  # pcid
-        st.integers(min_value=0, max_value=4 * HUGE_SPAN),  # vpn / range start
-        st.integers(min_value=1, max_value=2 * HUGE_SPAN),  # range width
+        # vpn / range start: a dense cluster (range edges land on resident
+        # entries) or anywhere across four huge spans.
+        st.integers(min_value=0, max_value=24) | st.integers(min_value=0, max_value=4 * HUGE_SPAN),
+        # range width: narrow or spanning huge pages.
+        st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=2 * HUGE_SPAN),
     ),
     max_size=200,
 )
 
 
+class ScanTlbModel:
+    """Reference TLB: one insertion-ordered dict per array keyed
+    ``(pcid, vpn)`` (LRU refresh = pop + reinsert); range invalidations
+    and pcid flushes scan every resident entry instead of an index."""
+
+    def __init__(self, capacity, pcid_enabled, huge_capacity):
+        self.pcid_enabled = pcid_enabled
+        self.small, self.huge = {}, {}
+        self.arrays = ((self.small, capacity, 1), (self.huge, huge_capacity, HUGE_SPAN))
+        self.counts = dict.fromkeys(
+            ("hits", "misses", "invalidations", "full_flushes", "evictions"), 0
+        )
+
+    def _pcid(self, pcid):
+        return pcid if self.pcid_enabled else NO_PCID
+
+    def _fill(self, array, pcid, vpn, entry):
+        table, limit, _span = self.arrays[array]
+        key = (self._pcid(pcid), vpn)
+        table.pop(key, None)
+        table[key] = entry
+        while len(table) > limit:
+            del table[next(iter(table))]
+            self.counts["evictions"] += 1
+
+    def fill(self, pcid, vpn, entry):
+        self._fill(0, pcid, vpn, entry)
+
+    def fill_huge(self, pcid, base, entry):
+        self._fill(1, pcid, base, entry)
+
+    def _find(self, pcid, vpn):
+        for table, _limit, span in self.arrays:
+            key = (self._pcid(pcid), vpn - vpn % span)
+            if key in table:
+                return table, key
+        return None, None
+
+    def lookup(self, pcid, vpn):
+        table, key = self._find(pcid, vpn)
+        self.counts["misses" if table is None else "hits"] += 1
+        if table is None:
+            return None
+        table[key] = table.pop(key)
+        return table[key]
+
+    def invalidate_page(self, pcid, vpn):
+        table, key = self._find(pcid, vpn)
+        if table is None:
+            return False
+        del table[key]
+        self.counts["invalidations"] += 1
+        return True
+
+    def _drop(self, doomed):
+        victims = [(t, k) for t, _limit, span in self.arrays for k in t if doomed(k, span)]
+        for table, key in victims:
+            del table[key]
+        return len(victims)
+
+    def invalidate_range(self, pcid, start, end):
+        pcid = self._pcid(pcid)
+        dropped = self._drop(
+            lambda key, span: key[0] == pcid and key[1] < end and key[1] + span > start
+        )
+        self.counts["invalidations"] += dropped
+        return dropped
+
+    def flush(self, pcid=None):
+        self.counts["full_flushes"] += 1
+        if pcid is None or not self.pcid_enabled:
+            return self._drop(lambda key, span: True)
+        return self._drop(lambda key, span: key[0] == pcid)
+
+    def stats(self):
+        return {**self.counts, "resident": len(self.small)}
+
+
+def _first_divergence(tlb, model, ops):
+    """Replay ``ops`` on both; the first disagreement, or None."""
+    for step, (op, pcid, vpn, width) in enumerate(ops):
+        results = []
+        for target in (tlb, model):
+            if op == "fill":
+                results.append(target.fill(pcid, vpn, TlbEntry(pfn=vpn + 7)))
+            elif op == "fill_huge":
+                base = vpn - vpn % HUGE_SPAN
+                results.append(target.fill_huge(pcid, base, TlbEntry(pfn=base + 9)))
+            elif op == "lookup":
+                hit = target.lookup(pcid, vpn)
+                if hit is not None:
+                    hit = hit.pfn if target is model else entry_pfn(hit)
+                results.append(hit)
+            elif op == "inv_page":
+                results.append(target.invalidate_page(pcid, vpn))
+            elif op == "inv_range":
+                results.append(target.invalidate_range(pcid, vpn, vpn + width))
+            elif op == "flush_pcid":
+                results.append(target.flush(pcid))
+            else:
+                results.append(target.flush())
+        if results[0] != results[1]:
+            return (step, op, pcid, vpn, width, results)
+    if tlb.items() != list(model.small.items()):
+        return "resident 4 KiB entries"
+    if tlb.huge_items() != list(model.huge.items()):
+        return "resident 2 MiB entries"
+    if tlb.stats() != model.stats():
+        return "stats"
+    for pcid in (1, 2, 3):
+        expected = sorted(vpn for p, vpn in model.small if p == model._pcid(pcid))
+        if list(tlb.cached_vpns(pcid)) != expected:
+            return f"cached_vpns({pcid})"
+    return None
+
+
 class TestIndexedVsScan:
-    """The per-pcid secondary index is a pure lookup accelerator: with
-    ``use_index`` on or off, every operation must return the same value and
-    leave the TLB in the same externally observable state -- including
-    huge-page entries whose 512-page span partially overlaps a range."""
+    """The per-pcid secondary index is a pure lookup accelerator: every
+    operation must return what a scanning dict model returns and leave the
+    same externally observable state -- including huge-page entries whose
+    512-page span partially overlaps a range."""
 
     @SETTINGS
     @given(ops=_TLB_OPS, pcid_enabled=st.booleans())
     def test_matches_scan_model(self, ops, pcid_enabled):
-        tlbs = [
-            Tlb(capacity=32, pcid_enabled=pcid_enabled, huge_capacity=8, use_index=use)
-            for use in (True, False)
+        # Small arrays, so LRU evictions are common.
+        tlb = Tlb(capacity=8, pcid_enabled=pcid_enabled, huge_capacity=4)
+        model = ScanTlbModel(capacity=8, pcid_enabled=pcid_enabled, huge_capacity=4)
+        assert _first_divergence(tlb, model, ops) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scan_model_long_replay(self, seed):
+        # Long seeded op streams reach what short hypothesis examples
+        # rarely do: full arrays, LRU churn, range edges on resident entries.
+        rng = random.Random(seed)
+        kinds = ["fill"] * 4 + ["fill_huge", "lookup", "lookup", "inv_page", "inv_range"]
+        flushes = ["flush_pcid", "flush_all"]
+        ops = [
+            (
+                rng.choice(flushes if rng.random() < 0.05 else kinds),
+                rng.randint(1, 3),
+                rng.randint(0, 24) if rng.random() < 0.7 else rng.randint(0, 4 * HUGE_SPAN),
+                rng.randint(1, 12) if rng.random() < 0.7 else rng.randint(1, 2 * HUGE_SPAN),
+            )
+            for _ in range(600)
         ]
-        for op, pcid, vpn, width in ops:
-            results = []
-            for tlb in tlbs:
-                if op == "fill":
-                    results.append(tlb.fill(pcid, vpn, TlbEntry(pfn=vpn + 7)))
-                elif op == "fill_huge":
-                    base = vpn - vpn % HUGE_SPAN
-                    results.append(tlb.fill_huge(pcid, base, TlbEntry(pfn=base + 9)))
-                elif op == "lookup":
-                    results.append(tlb.lookup(pcid, vpn))
-                elif op == "inv_page":
-                    results.append(tlb.invalidate_page(pcid, vpn))
-                elif op == "inv_range":
-                    results.append(tlb.invalidate_range(pcid, vpn, vpn + width))
-                elif op == "flush_pcid":
-                    results.append(tlb.flush(pcid))
-                else:
-                    results.append(tlb.flush())
-            assert results[0] == results[1], (op, pcid, vpn, width)
-        indexed, scan = tlbs
-        assert indexed.items() == scan.items()
-        assert indexed.huge_items() == scan.huge_items()
-        assert indexed.stats() == scan.stats()
-        for pcid in (1, 2, 3):
-            assert sorted(indexed.cached_vpns(pcid)) == sorted(scan.cached_vpns(pcid))
+        pcid_enabled = seed % 2 == 0
+        tlb = Tlb(capacity=8, pcid_enabled=pcid_enabled, huge_capacity=4)
+        model = ScanTlbModel(capacity=8, pcid_enabled=pcid_enabled, huge_capacity=4)
+        assert _first_divergence(tlb, model, ops) is None
+
+    def test_scan_model_catches_index_desync(self):
+        # The tlb_index_desync mutation hides every second fill from the
+        # per-pcid index; the range invalidation then misses it.
+        from types import SimpleNamespace
+
+        from repro.verify.mutations import desync_tlb_index
+
+        tlb = Tlb(capacity=32, pcid_enabled=True, huge_capacity=8)
+        desync_tlb_index(SimpleNamespace(cores=[SimpleNamespace(tlb=tlb)]))
+        model = ScanTlbModel(capacity=32, pcid_enabled=True, huge_capacity=8)
+        ops = [("fill", 1, 3, 1), ("fill", 1, 4, 1), ("inv_range", 1, 0, 16)]
+        assert _first_divergence(tlb, model, ops) == (
+            2, "inv_range", 1, 0, 16, [1, 2]
+        )
 
     @SETTINGS
     @given(
@@ -176,17 +310,14 @@ class TestIndexedVsScan:
     )
     def test_huge_overlap_boundaries(self, base, start, width):
         # A huge entry covers [base, base + HUGE_SPAN); it must drop iff
-        # that span intersects [start, start + width) -- under both paths.
+        # that span intersects [start, start + width).
         base -= base % HUGE_SPAN
-        results = []
-        for use in (True, False):
-            tlb = Tlb(capacity=8, pcid_enabled=True, use_index=use)
-            tlb.fill_huge(1, base, TlbEntry(pfn=1))
-            dropped = tlb.invalidate_range(1, start, start + width)
-            results.append((dropped, tlb.huge_items()))
-        assert results[0] == results[1]
+        tlb = Tlb(capacity=8, pcid_enabled=True)
+        model = ScanTlbModel(capacity=8, pcid_enabled=True, huge_capacity=32)
+        ops = [("fill_huge", 1, base, 1), ("inv_range", 1, start, width)]
+        assert _first_divergence(tlb, model, ops) is None
         overlaps = base < start + width and base + HUGE_SPAN > start
-        assert results[0][0] == (1 if overlaps else 0)
+        assert len(tlb.huge_items()) == (0 if overlaps else 1)
 
 
 class TestAccessors:

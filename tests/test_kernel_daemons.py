@@ -9,6 +9,7 @@ from repro.kernel.invariants import check_all, check_tlb_frame_safety
 from repro.kernel.ksm import KsmDaemon
 from repro.kernel.swapd import SwapDevice
 from repro.mm.addr import PAGE_SIZE
+from repro.mm.frames import FrameAllocatorError
 from repro.sim.engine import MSEC
 
 from helpers import make_proc, run_to_completion, drain
@@ -281,6 +282,57 @@ class TestCompaction:
         assert all(after[vpn] != out["before"][vpn] for vpn in after)
         assert check_all(kernel) == []
         assert check_tlb_frame_safety(kernel) == []
+
+    def _compact_after(self, setup):
+        """Map and touch 4 pages, run ``setup(kernel)``, then one
+        compaction round; returns (process, outcome dict)."""
+        system = build_system("linux", cores=2, frames_per_node=1024)
+        kernel = system.kernel
+        compactor = Compactor.install(kernel)
+        proc, tasks = make_proc(system)
+        compactor.register(proc)
+        out = {}
+
+        def body():
+            t0, c0 = tasks[0], kernel.machine.core(0)
+            vrange = yield from kernel.syscalls.mmap(t0, c0, 4 * PAGE_SIZE)
+            yield from kernel.syscalls.touch_pages(t0, c0, vrange, write=True)
+            setup(kernel)
+            try:
+                out["moved"] = yield from compactor.compact_node(0, max_pages=4)
+            except RuntimeError as exc:
+                out["raised"] = exc
+
+        run_to_completion(system, body())
+        # The round got past block selection to the relocation loop.
+        assert kernel.stats.counter("compaction.no_block").value == 0
+        return proc, out
+
+    def test_non_allocator_error_from_alloc_propagates(self):
+        def inject(kernel):
+            def alloc(node=0, exclude=None):
+                raise RuntimeError("injected")
+
+            kernel.frames.alloc = alloc
+
+        proc, out = self._compact_after(inject)
+        assert str(out["raised"]) == "injected"
+        assert not proc.mm.mmap_sem.locked
+
+    def test_exhausted_allocator_ends_round_cleanly(self):
+        def exhaust(kernel):
+            # Every frame outside the target block: the block stays
+            # movable, but no relocation destination is left.
+            block, _victims = kernel.compactor.pick_target_block(0)
+            while True:
+                try:
+                    kernel.frames.alloc(0, exclude=block)
+                except FrameAllocatorError:
+                    return
+
+        proc, out = self._compact_after(exhaust)
+        assert out == {"moved": 0}
+        assert not proc.mm.mmap_sem.locked
 
 
 class TestKsmCrossProcess:

@@ -156,14 +156,15 @@ class TestVmaSetProperties:
 
 class TestSoaQueueVsObjectShadow:
     """The struct-of-arrays LATR queue must be observationally identical to
-    the object-model queue under any post/pull/clear/reclaim sequence."""
+    a list-based object-model shadow under any post/pull/clear/reclaim
+    sequence."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         depth=st.integers(min_value=1, max_value=6),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["post", "clear", "pull", "reclaim"]),
+                st.sampled_from(["post", "clear", "drain", "pull", "reclaim"]),
                 st.integers(min_value=0, max_value=1_000),
                 st.integers(min_value=0, max_value=7),
             ),
@@ -171,72 +172,68 @@ class TestSoaQueueVsObjectShadow:
         ),
     )
     def test_shadow_models_agree(self, depth, ops):
-        from repro.coherence.states import (
-            LatrFlag,
-            LatrState,
-            LatrStateQueue,
-            SoaLatrQueue,
-            SoaLatrState,
-        )
+        from helpers import ShadowLatrQueue, ShadowLatrState
+
+        from repro.coherence.states import LatrFlag, LatrState, LatrStateQueue
         from repro.mm.mmstruct import MmStruct
         from repro.sim.engine import Signal, Simulator
 
         sim = Simulator()
         mm = MmStruct(sim)
-        obj_q = LatrStateQueue(core_id=0, depth=depth)
-        soa_q = SoaLatrQueue(core_id=0, depth=depth)
-        pairs = []  # (object state, SoA state), in posting order
+        shadow_q = ShadowLatrQueue(core_id=0, depth=depth)
+        soa_q = LatrStateQueue(core_id=0, depth=depth)
+        pairs = []  # (shadow state, SoA state), in posting order
         now = 0
         for kind, pick, core in ops:
             now += 1
             if kind == "post":
                 cpus = {core, (pick % 8)}
                 flag = LatrFlag.FREE if pick % 3 else LatrFlag.MIGRATION
-                made = []
-                for state_cls in (LatrState, SoaLatrState):
-                    made.append(
-                        state_cls(
-                            vrange=VirtRange.from_pages(10 + pick % 50, 1 + pick % 4),
-                            mm=mm,
-                            cpu_bitmask=set(cpus),
-                            flag=flag,
-                            owner_core=0,
-                            posted_at=now,
-                            done=Signal(sim),
-                        )
+                shadow_s, soa_s = (
+                    state_cls(
+                        vrange=VirtRange.from_pages(10 + pick % 50, 1 + pick % 4),
+                        mm=mm,
+                        cpu_bitmask=set(cpus),
+                        flag=flag,
+                        owner_core=0,
+                        posted_at=now,
+                        done=Signal(sim),
                     )
-                obj_s, soa_s = made
-                accepted_obj = obj_q.post(obj_s)
-                accepted_soa = soa_q.post(soa_s)
-                assert accepted_obj == accepted_soa
-                if accepted_obj:
-                    pairs.append((obj_s, soa_s))
+                    for state_cls in (ShadowLatrState, LatrState)
+                )
+                accepted = shadow_q.post(shadow_s)
+                assert soa_q.post(soa_s) == accepted
+                if accepted:
+                    pairs.append((shadow_s, soa_s))
             elif not pairs:
                 continue
             else:
-                obj_s, soa_s = pairs[pick % len(pairs)]
+                shadow_s, soa_s = pairs[pick % len(pairs)]
                 if kind == "clear":
-                    assert obj_s.clear_cpu(core, now) == soa_s.clear_cpu(core, now)
+                    assert soa_s.clear_cpu(core, now) == shadow_s.clear_cpu(core, now)
+                elif kind == "drain":
+                    # Every remaining core sweeps: the state deactivates.
+                    for cpu in sorted(shadow_s.cpu_bitmask):
+                        assert soa_s.clear_cpu(cpu, now) == shadow_s.clear_cpu(cpu, now)
                 elif kind == "pull":
-                    obj_s.pulled_by.add(core)
-                    soa_s.pulled_by.add(core)
+                    shadow_s.pulled_by.add(core)
+                    soa_s.pulled_by = soa_s.pulled_by | {core}
                 else:
-                    obj_s.reclaimed = True
+                    shadow_s.reclaimed = True
                     soa_s.reclaimed = True
-            assert obj_q.active_count == soa_q.active_count
-            assert obj_q.occupancy() == soa_q.occupancy()
-            assert obj_q.posts == soa_q.posts
-            assert obj_q.full_rejections == soa_q.full_rejections
-            active_obj = obj_q.active_states_after(-1)
-            active_soa = soa_q.active_states_after(-1)
-            assert [s.slot_idx for s in active_obj] == [s.slot_idx for s in active_soa]
+            assert soa_q.active_count == shadow_q.active_count
+            assert soa_q.occupancy() == shadow_q.occupancy()
+            assert soa_q.posts == shadow_q.posts
+            assert soa_q.full_rejections == shadow_q.full_rejections
+            assert [s.slot_idx for s in soa_q.active_states_after(-1)] == [
+                s.slot_idx for s in shadow_q.active_states()
+            ]
         # Final deep comparison: every state pair ever posted (attached or
         # recycled) agrees on all observable fields.
-        for obj_s, soa_s in pairs:
-            assert sorted(obj_s.cpu_bitmask) == sorted(soa_s.cpu_bitmask)
-            assert sorted(obj_s.pulled_by) == sorted(soa_s.pulled_by)
-            assert obj_s.active == soa_s.active
-            assert obj_s.pte_applied == soa_s.pte_applied
-            assert obj_s.reclaimed == soa_s.reclaimed
-            assert obj_s.completed_at == soa_s.completed_at
-        assert obj_q.footprint_bytes() == soa_q.footprint_bytes()
+        for shadow_s, soa_s in pairs:
+            assert soa_s.cpu_bitmask == shadow_s.cpu_bitmask
+            assert soa_s.pulled_by == shadow_s.pulled_by
+            assert soa_s.active == shadow_s.active
+            assert soa_s.reclaimed == shadow_s.reclaimed
+            assert soa_s.completed_at == shadow_s.completed_at
+        assert soa_q.footprint_bytes() == shadow_q.footprint_bytes()

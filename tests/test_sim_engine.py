@@ -7,7 +7,6 @@ from repro.sim.engine import (
     SEC,
     USEC,
     AllOf,
-    Signal,
     SimulationError,
     Simulator,
     Timeout,
@@ -340,7 +339,8 @@ class TestChoiceHook:
             sim.run()
 
     def test_hook_forces_heap_mode(self):
-        sim = Simulator(use_timer_wheel=True, choice_hook=lambda r: None)
+        assert Simulator()._use_wheel
+        sim = Simulator(choice_hook=lambda r: None)
         assert not sim._use_wheel
 
     def test_cancelled_events_never_reach_hook(self):

@@ -294,7 +294,7 @@ class TestQuantileAccuracyProperty:
 class TestWindowGating:
     def _gated_registry(self):
         sim = Simulator()
-        return sim, StatsRegistry(sim, gate_latencies=True)
+        return sim, StatsRegistry(sim)
 
     def test_start_window_discards_warmup_samples(self):
         _sim, stats = self._gated_registry()
@@ -334,39 +334,14 @@ class TestWindowGating:
         assert rec.count == 1
         assert qrec.count == 1
 
-    def test_ungated_recorder_ignores_windows(self):
-        sim = Simulator()
-        stats = StatsRegistry(sim, gate_latencies=False)
-        rec = stats.latency("req")
-        rec.record(1)
-        stats.start_all_windows()
-        rec.record(2)
-        stats.stop_all_windows()
-        rec.record(3)
-        # Historical behaviour: every sample from t=0 is kept.
-        assert rec.count == 3
-
     def test_recorder_without_any_window_records_freely(self):
         # Workloads that never call start_all_windows must keep working
-        # even with gating on (the FREE state).
+        # (the FREE state).
         sim = Simulator()
-        stats = StatsRegistry(sim, gate_latencies=True)
+        stats = StatsRegistry(sim)
         rec = stats.latency("free")
         rec.record(42)
         assert rec.count == 1
-
-    def test_module_default_controls_new_registries(self):
-        from repro.sim.stats import latency_gating_enabled, set_latency_gating
-
-        sim = Simulator()
-        assert latency_gating_enabled()
-        try:
-            set_latency_gating(False)
-            assert StatsRegistry(sim).gate_latencies is False
-            set_latency_gating(True)
-            assert StatsRegistry(sim).gate_latencies is True
-        finally:
-            set_latency_gating(True)
 
     def test_gated_window_state_survives_snapshot_restore(self):
         _sim, stats = self._gated_registry()

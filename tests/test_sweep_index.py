@@ -1,19 +1,21 @@
 """Equivalence tests for the LATR active-state sweep index.
 
-The index (`LatrCoherence._sweep_indexed`) must charge the exact modelled
-costs of the original full scan (`_sweep_full`) -- every counter, latency
-and rate bit-for-bit identical -- while doing asymptotically less simulator
-work. The strongest check replays full differential-fuzzer plans with both
-implementations and compares complete ``StatsRegistry.summary()`` dicts.
+The indexed sweep (`LatrCoherence._sweep_indexed_soa`) must charge the exact
+modelled costs of a full scan of every queue slot (the test-local
+`FullScanLatr` reference) -- every counter, latency and rate bit-for-bit
+identical -- while doing asymptotically less simulator work. The strongest
+check replays full differential-fuzzer plans with both and compares
+complete ``StatsRegistry.summary()`` dicts.
 """
 
 from __future__ import annotations
 
 import pytest
-from helpers import drain, make_proc, run_to_completion
+from helpers import FullScanLatr, drain, make_proc, run_to_completion
 
 from repro import build_system
 from repro.mm.addr import PAGE_SIZE
+from repro.verify import fuzzer
 from repro.verify.fuzzer import run_one
 from repro.verify.plan import generate_plan
 
@@ -22,14 +24,11 @@ class TestFuzzPlanEquivalence:
     """Replay fuzzer plans with and without the index: identical stats."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_indexed_and_full_scan_stats_identical(self, seed):
+    def test_indexed_and_full_scan_stats_identical(self, seed, monkeypatch):
         plan = generate_plan(seed, 40, n_cores=4, n_procs=2)
-        indexed = run_one(
-            "latr", plan, latr_kwargs={"use_sweep_index": True}
-        )
-        full = run_one(
-            "latr", plan, latr_kwargs={"use_sweep_index": False}
-        )
+        indexed = run_one("latr", plan)
+        monkeypatch.setattr(fuzzer, "LatrCoherence", FullScanLatr)
+        full = run_one("latr", plan)
         assert indexed.clean, (indexed.violations, indexed.errors)
         assert full.clean, (full.violations, full.errors)
         assert indexed.stats_summary == full.stats_summary
@@ -113,12 +112,3 @@ class TestIndexBookkeeping:
         assert coherence.active_state_count() == 0
         state.active = False  # idempotent: no double-decrement
         assert coherence.active_state_count() == 0
-
-    def test_full_scan_flag_disables_index_path(self):
-        system = build_system("latr", cores=4, use_sweep_index=False)
-        proc, tasks = make_proc(system)
-        assert system.kernel.coherence.use_sweep_index is False
-        self._munmap_once(system, proc, tasks)
-        drain(system, ms=6)
-        assert system.stats.counter("latr.sweeps").value > 0
-        assert system.stats.counter("latr.entries_invalidated").value >= 1
