@@ -124,13 +124,11 @@ def warm_build_system(mechanism: str = "latr", **kwargs) -> System:
     Identical boot parameters within one process restore a post-boot
     snapshot in place instead of rebooting (see
     :class:`repro.snapshot.BootPool`); results are bit-identical to cold
-    boots. Falls back to :func:`build_system` when snapshots are globally
-    disabled or the previous user left the world non-quiescent.
+    boots. Falls back to :func:`build_system` when the previous user left
+    the world non-quiescent.
     """
-    from .snapshot import BootPool, snapshots_enabled
+    from .snapshot import BootPool
 
-    if not snapshots_enabled():
-        return build_system(mechanism, **kwargs)
     global _BOOT_POOL
     if _BOOT_POOL is None:
         _BOOT_POOL = BootPool()

@@ -102,14 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="mc: skip the differential oracle at complete traces",
     )
     parser.add_argument(
-        "--no-snapshots",
-        action="store_true",
-        help="disable all snapshot/fork machinery: warm-boot pools boot "
-        "cold and the model checker backtracks by prefix replay; results "
-        "are byte-identical to snapshot runs (the escape hatch exists to "
-        "rule snapshots out when debugging)",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="bench: reduced suite (fig6 + a short sweep-stress) for CI smoke",
@@ -149,11 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.experiment = args.run_target
     elif args.run_target is not None:
         parser.error(f"unexpected extra argument {args.run_target!r}")
-
-    if args.no_snapshots:
-        from .snapshot import set_snapshots_enabled
-
-        set_snapshots_enabled(False)
 
     if args.experiment == "list":
         for exp_id in available_experiments():
@@ -257,7 +244,6 @@ def _run_fuzz_command(args) -> int:
         n_ops=n_ops,
         mutate=args.mutate,
         shrink_budget=30 if args.fast else 60,
-        use_snapshots=not args.no_snapshots,
     )
     started = time.time()
     report = run_fuzz(config)
@@ -298,7 +284,6 @@ def _run_mc_command(args) -> int:
         ),
         max_nodes=args.budget,
         differential=not args.no_diff,
-        use_snapshots=not args.no_snapshots,
     )
     started = time.time()
     result = run_mc(config, jobs=resolve_jobs(args.jobs) if args.jobs != 1 else 1)
@@ -309,47 +294,6 @@ def _run_mc_command(args) -> int:
         with open(args.output, "a") as sink:
             sink.write(text + "\n\n")
     return 0 if result.verdict == "ok" else 1
-
-
-def _snapshot_differential() -> int:
-    """Explore one small scope twice -- snapshot backtracking vs honest
-    prefix replay -- and require identical verdict, node count and
-    canonical state set. This is the CI teeth behind the ``--no-snapshots``
-    escape hatch: the two paths must stay byte-identical."""
-    from .verify.mc import McConfig, McScope, run_mc
-
-    def explore(use_snapshots: bool):
-        report = run_mc(
-            McConfig(
-                scope=McScope(cores=3, pages=2, ops=5),
-                differential=False,
-                collect_hashes=True,
-                stop_on_first=False,
-                use_snapshots=use_snapshots,
-            )
-        )
-        hashes = set()
-        nodes = 0
-        for cell in report.cells:
-            hashes |= set(cell.state_hashes)
-            nodes += cell.nodes
-        return report.verdict, nodes, hashes
-
-    snap = explore(True)
-    replay = explore(False)
-    if snap != replay:
-        print(
-            f"snapshot/replay divergence: snapshot=(verdict={snap[0]}, "
-            f"nodes={snap[1]}, states={len(snap[2])}) vs replay="
-            f"(verdict={replay[0]}, nodes={replay[1]}, states={len(replay[2])})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"snapshot and replay exploration identical: verdict={snap[0]}, "
-        f"{snap[1]} nodes, {len(snap[2])} states"
-    )
-    return 0
 
 
 def _numapte_smoke() -> int:
@@ -504,18 +448,19 @@ def _fleet_smoke() -> int:
 
 
 def _run_ci_command(args) -> int:
-    """``python -m repro ci``: the full local gate -- tier-1 pytest, a
-    small exhaustive mc scope, the snapshot-vs-replay differential, the
-    numaPTE smoke (replication/escape-hatch/mutation-audit gate), the
-    virt smoke (two-level translation: 2D-walk/host-invalidation
-    accounting, escape-hatch byte-identity, broken-EPT-shootdown
-    mutation audit), the fleet smoke (960-core boot, LATR posts and
-    sweeps), a parallel fast-mode smoke of every experiment, and the quick
-    wall-clock bench (which gates the mc-snapshot speedup/hash equality,
-    the engine-stress order identity and the openloop/fleet-stress events/s
-    floors) with its regression
-    check against the committed BENCH_*.json baseline (exit 2 if the
-    baseline is missing). Exits non-zero on the first failure.
+    """``python -m repro ci``: the full local gate -- tier-1 pytest (which
+    includes the snapshot-vs-replay differential of
+    ``tests/test_snapshot.py``), a small exhaustive mc scope, the numaPTE
+    smoke (replication/escape-hatch/mutation-audit gate), the virt smoke
+    (two-level translation: 2D-walk/host-invalidation accounting,
+    escape-hatch byte-identity, broken-EPT-shootdown mutation audit), the
+    fleet smoke (960-core boot, LATR posts and sweeps), a parallel
+    fast-mode smoke of every experiment, and the quick wall-clock bench
+    (which gates the mc-snapshot node/state counts, the engine-stress
+    order identity and the mc-snapshot/openloop/fleet-stress events/s
+    floors) with its regression check against the committed BENCH_*.json
+    baseline (exit 2 if the baseline is missing). Exits non-zero on the
+    first failure.
 
     Needs a source checkout (it locates ``tests/`` next to ``src/``)."""
     import subprocess
@@ -557,7 +502,6 @@ def _run_ci_command(args) -> int:
             "repro mc --cores 2 --pages 2 --ops 4",
             lambda: main(["mc", "--cores", "2", "--pages", "2", "--ops", "4"]),
         ),
-        ("snapshot differential (3c/2p/5ops)", _snapshot_differential),
         ("numapte-smoke", _numapte_smoke),
         ("virt-smoke", _virt_smoke),
         ("fleet-smoke", _fleet_smoke),

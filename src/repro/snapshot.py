@@ -15,6 +15,11 @@ engine refuses to fork while any pending event is a live generator
 continuation, so snapshots are only legal at quiescent points (op
 boundaries, freshly booted systems, a drained model-checker step).
 
+Snapshot/fork is the only path its consumers take -- the warm-boot pool
+(:class:`BootPool`) and the model checker's backtracking -- so there is no
+switch to turn it off; ``tests/test_snapshot.py`` pins both against
+cold-boot and prefix-replay references.
+
 Restore invariants:
 
 * every object reachable from the kernel at snapshot time still exists and
@@ -40,22 +45,6 @@ from .sim.engine import Signal, SimulationError, live_continuation
 
 class SnapshotError(SimulationError):
     """The system is not at a snapshottable quiescent point."""
-
-
-#: Global escape hatch (CLI ``--no-snapshots``): when False, every warm-boot
-#: pool boots cold and the model checker backtracks by replay. Snapshots and
-#: replay are bit-identical by construction; the flag exists so any suspected
-#: snapshot bug can be ruled out in one run.
-_SNAPSHOTS_ENABLED = True
-
-
-def set_snapshots_enabled(enabled: bool) -> None:
-    global _SNAPSHOTS_ENABLED
-    _SNAPSHOTS_ENABLED = bool(enabled)
-
-
-def snapshots_enabled() -> bool:
-    return _SNAPSHOTS_ENABLED
 
 
 class SystemSnapshot:

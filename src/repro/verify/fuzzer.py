@@ -47,6 +47,7 @@ from ..kernel.swapd import SwapDevice
 from ..mm.addr import PAGE_SIZE, VirtRange
 from ..sim.engine import Simulator, Timeout
 from ..sim.trace import Tracer
+from ..snapshot import BootPool
 from .monitor import InvariantMonitor, Violation
 from .mutations import mutation_spec
 from .plan import FuzzPlan, Op, generate_plan
@@ -55,6 +56,9 @@ from .shrink import ddmin
 #: Mechanisms a fuzz run exercises against the synchronous baseline.
 FUZZ_MECHANISMS = ("latr", "abis", "didi", "unitd")
 DEFAULT_BASELINE = "linux"
+
+#: Tracer window (in ticks) dumped around the first violation.
+_TRACE_WINDOW_TICKS = 3
 
 #: Small enough to build fast, large enough that per-node frame pools
 #: never run dry (which would make allocation placement schedule-timing
@@ -92,7 +96,6 @@ def build_fuzz_system(
     mutate: Optional[str] = None,
     with_tracer: bool = False,
     frames_per_node: int = FRAMES_PER_NODE,
-    monitor_stride: int = 1,
     use_pt_replication: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
 ) -> FuzzSystem:
@@ -145,7 +148,7 @@ def build_fuzz_system(
     if with_tracer:
         tracer = Tracer(sim)
         kernel.tracer = tracer
-    monitor = InvariantMonitor.install(kernel, stride=monitor_stride)
+    monitor = InvariantMonitor.install(kernel)
     kernel.start()
 
     procs = [kernel.create_process(f"fuzz{p}") for p in range(plan.n_procs)]
@@ -504,7 +507,6 @@ def run_one(
     mutate: Optional[str] = None,
     with_tracer: bool = False,
     frames_per_node: int = FRAMES_PER_NODE,
-    monitor_stride: int = 1,
     use_pt_replication: Optional[bool] = None,
     use_virtualization: Optional[bool] = None,
     pool=None,
@@ -525,7 +527,6 @@ def run_one(
             mutate=mutate,
             with_tracer=with_tracer,
             frames_per_node=frames_per_node,
-            monitor_stride=monitor_stride,
             use_pt_replication=use_pt_replication,
             use_virtualization=use_virtualization,
         )
@@ -538,8 +539,7 @@ def run_one(
             mechanism, plan.seed, plan.n_cores, plan.n_procs,
             plan.schedule.queue_depth, plan.schedule.reclaim_delay_ticks,
             tuple(sorted(plan.schedule.tick_offsets.items())),
-            frames_per_node, monitor_stride,
-            use_pt_replication, use_virtualization,
+            frames_per_node, use_pt_replication, use_virtualization,
         )
         system = pool.acquire(key, build)
     else:
@@ -636,24 +636,12 @@ class FuzzConfig:
 
     seed: int = 1
     n_ops: int = 200
-    n_cores: int = 4
-    n_procs: int = 2
-    mechanisms: Tuple[str, ...] = FUZZ_MECHANISMS
-    baseline: str = DEFAULT_BASELINE
     #: Inject a known-bad LATR variant (see repro.verify.mutations); the
-    #: mutation applies to the 'latr' entry of ``mechanisms``.
+    #: mutation applies to the 'latr' entry of FUZZ_MECHANISMS.
     mutate: Optional[str] = None
     shrink: bool = True
     shrink_budget: int = 60
     frames_per_node: int = FRAMES_PER_NODE
-    monitor_stride: int = 1
-    #: Tracer window (in ticks) dumped around the first violation.
-    trace_window_ticks: int = 3
-    #: Warm-boot reuse: boot each distinct configuration once, restore its
-    #: post-boot snapshot for every further replay (big win in the shrink
-    #: loop). False is the bit-identical cold-boot escape hatch, gated by
-    #: the replay-vs-restore differential test.
-    use_snapshots: bool = True
 
 
 @dataclass
@@ -669,7 +657,7 @@ class FuzzReport:
     shrunk_plan: Optional[FuzzPlan] = None
     shrink_runs: int = 0
     trace_dump: str = ""
-    #: Warm-boot accounting (0/0 when snapshots are off).
+    #: Warm-boot accounting: cold boots and post-boot snapshot restores.
     warm_boots: int = 0
     warm_restores: int = 0
 
@@ -700,7 +688,7 @@ class FuzzReport:
                 f"{res.sim_time_ns / 1e6:.1f} ms sim]"
             )
         for name, diffs in self.mismatches.items():
-            lines.append(f"  {name} vs {self.config.baseline}:")
+            lines.append(f"  {name} vs {DEFAULT_BASELINE}:")
             lines.extend(f"    {d}" for d in diffs[:8])
         for name in self.failures:
             res = self.results.get(name)
@@ -714,10 +702,9 @@ class FuzzReport:
         if self.trace_dump:
             lines.append("  trace window around failure:")
             lines.extend(f"    {line}" for line in self.trace_dump.splitlines())
-        if self.warm_boots or self.warm_restores:
-            lines.append(
-                f"warm boots: {self.warm_boots} cold, {self.warm_restores} restored"
-            )
+        lines.append(
+            f"warm boots: {self.warm_boots} cold, {self.warm_restores} restored"
+        )
         lines.append(
             f"verdict: {'PASS' if self.ok else 'FAIL'} ({self.runs} runs total)"
         )
@@ -727,16 +714,12 @@ class FuzzReport:
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """One full differential campaign: baseline + every mechanism, then
     shrink + trace-dump the first failure."""
-    plan = generate_plan(
-        config.seed, config.n_ops, n_cores=config.n_cores, n_procs=config.n_procs
-    )
+    plan = generate_plan(config.seed, config.n_ops)
     runs = 0
-    pool = None
-    if config.use_snapshots:
-        from ..snapshot import BootPool, snapshots_enabled
-
-        if snapshots_enabled():
-            pool = BootPool()
+    # Warm-boot reuse: each distinct configuration boots once and every
+    # further replay (the shrink loop above all) restores its post-boot
+    # snapshot.
+    pool = BootPool()
 
     def replay(mech: str, p: FuzzPlan, mutate=None, with_tracer=False) -> RunResult:
         nonlocal runs
@@ -747,20 +730,19 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             mutate=mutate,
             with_tracer=with_tracer,
             frames_per_node=config.frames_per_node,
-            monitor_stride=config.monitor_stride,
             pool=pool,
         )
 
     results: Dict[str, RunResult] = {}
-    base = replay(config.baseline, plan)
-    results[config.baseline] = base
+    base = replay(DEFAULT_BASELINE, plan)
+    results[DEFAULT_BASELINE] = base
 
     failures: List[str] = []
     mismatches: Dict[str, List[str]] = {}
     if not base.clean:
-        failures.append(config.baseline)
+        failures.append(DEFAULT_BASELINE)
 
-    for mech in config.mechanisms:
+    for mech in FUZZ_MECHANISMS:
         mutate = config.mutate if mech == "latr" else None
         res = replay(mech, plan, mutate=mutate)
         results[mech] = res
@@ -784,12 +766,11 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     )
 
     def finish() -> FuzzReport:
-        if pool is not None:
-            report.warm_boots = pool.boots
-            report.warm_restores = pool.restores
+        report.warm_boots = pool.boots
+        report.warm_restores = pool.restores
         return report
 
-    target = next((m for m in failures if m != config.baseline), None)
+    target = next((m for m in failures if m != DEFAULT_BASELINE), None)
     if target is None or not config.shrink:
         return finish()
 
@@ -803,7 +784,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             return True
         if not differential_only:
             return False
-        b = replay(config.baseline, p)
+        b = replay(DEFAULT_BASELINE, p)
         if b.snapshot is None or res.snapshot is None:
             return False
         return bool(diff_snapshots(b.snapshot, res.snapshot))
@@ -818,9 +799,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     if traced.tracer is not None:
         tick = 1_000_000
         if traced.violations:
-            since = max(0, traced.violations[0].time_ns - config.trace_window_ticks * tick)
+            since = max(0, traced.violations[0].time_ns - _TRACE_WINDOW_TICKS * tick)
         else:
-            since = max(0, traced.sim_time_ns - config.trace_window_ticks * tick)
+            since = max(0, traced.sim_time_ns - _TRACE_WINDOW_TICKS * tick)
         report.trace_dump = traced.tracer.dump(limit=60, since_ns=since)
     report.runs = runs
     return finish()

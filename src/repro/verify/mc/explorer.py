@@ -4,8 +4,9 @@ The explorer enumerates every schedulable action sequence of a
 :class:`~repro.verify.mc.executor.McExecutor` scope by depth-first search,
 backtracking between siblings via in-place world snapshots
 (:meth:`McExecutor.fork` / ``restore`` -- O(state) per sibling instead of
-an O(depth) cold-boot replay; ``McConfig(use_snapshots=False)`` keeps the
-replay path as a bit-identical escape hatch), pruned two ways:
+an O(depth) cold-boot replay). Mutated scopes backtrack by prefix replay
+instead: a mutation may carry state the snapshot layer does not capture.
+The search is pruned two ways:
 
 * **Sleep sets** over an independence relation. The relation is
   deliberately conservative -- only pairs proven to commute in *every*
@@ -71,12 +72,6 @@ class McConfig:
     #: reduced and brute-force runs cover the same state set).
     collect_hashes: bool = False
     shrink_budget: int = 60
-    #: Backtrack via in-place world snapshots (O(1) per sibling) instead of
-    #: replaying every prefix from a cold boot (O(depth)). False is the
-    #: bit-identical escape hatch; mutated scopes force the replay path
-    #: because a mutation may carry broken state the snapshot layer does
-    #: not model.
-    use_snapshots: bool = True
 
 
 @dataclass
@@ -195,9 +190,12 @@ class _CellExplorer:
         self.root_action = root_action
         self.root_sleep = tuple(root_sleep)
         self.result = CellResult(cell=cell, root_action=root_action)
-        # Mutations may carry deliberately-broken derived state the snapshot
-        # layer does not model; they keep the proven replay path.
-        self.use_snapshots = config.use_snapshots and config.scope.mutate is None
+        # Backtrack via in-place world snapshots (O(state) per sibling)
+        # instead of replaying every prefix from a cold boot (O(depth)).
+        # Mutations may carry deliberately-broken state the snapshot layer
+        # does not capture (e.g. BucketSkipSimulator's bucket activations,
+        # StaleActiveCacheLatr's cache), so mutated scopes replay.
+        self.use_snapshots = config.scope.mutate is None
         #: DFS-path stack of (trace, world snapshot) for O(1) backtracking.
         self._snaps: List[Tuple[Tuple[str, ...], object]] = []
         #: variant -> (executor, boot snapshot): differential replicas are
@@ -241,16 +239,17 @@ class _CellExplorer:
         """Rewind the shared executor to the state reached by ``trace``:
         restore the nearest ancestor snapshot on the DFS path (usually the
         current node's own -- a pure O(state) restore, no prefix replay)
-        and re-apply the unsnapshottable suffix, if any."""
+        and re-apply the unsnapshottable suffix, if any. ``run`` pushes the
+        depth-0 boot snapshot first, so some entry always fits."""
+        snap_trace, snap = next(
+            entry for entry in reversed(self._snaps) if len(entry[0]) <= len(trace)
+        )
         executor = self._executor
-        for snap_trace, snap in reversed(self._snaps):
-            if len(snap_trace) <= len(trace):
-                executor.restore(snap)
-                self.result.restores += 1
-                for key in trace[len(snap_trace):]:
-                    executor.apply(key, tolerant=False)
-                return executor
-        return self._replay(trace)
+        executor.restore(snap)
+        self.result.restores += 1
+        for key in trace[len(snap_trace):]:
+            executor.apply(key, tolerant=False)
+        return executor
 
     def _fail(self, trace: Tuple[str, ...], findings: List[str]) -> None:
         if self.result.counterexample is None:
@@ -357,8 +356,8 @@ class _CellExplorer:
 
     def _variant_replica(self, variant: str, trace: Tuple[str, ...]) -> McExecutor:
         """A replica executor for ``variant`` advanced through ``trace``:
-        booted once per cell and rewound to its boot snapshot per leaf when
-        snapshots are on, else booted cold every time."""
+        booted once per cell and rewound to its boot snapshot per leaf, or
+        booted cold every time in a mutated (replaying) scope."""
         if not self.use_snapshots:
             replica = McExecutor(self.config.scope, variant=variant)
             self.result.replays += 1

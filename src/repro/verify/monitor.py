@@ -86,22 +86,16 @@ class InvariantMonitor:
         ),
         max_violations: int = 50,
         raise_on_violation: bool = False,
-        stride: int = 1,
     ):
         for name in checks:
             if name not in CONTINUOUS_CHECKS:
                 raise ValueError(
                     f"unknown continuous check {name!r}; have {sorted(CONTINUOUS_CHECKS)}"
                 )
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         self.kernel = kernel
         self.checks = tuple(checks)
         self.max_violations = max_violations
         self.raise_on_violation = raise_on_violation
-        #: Run the checkers only every Nth notification (cost knob for long
-        #: runs; 1 == every dangerous instant).
-        self.stride = stride
         self.violations: List[Violation] = []
         self.checks_run = 0
         self.notifications = 0
@@ -138,7 +132,7 @@ class InvariantMonitor:
     def notify(self, point: str, core: Optional[int] = None, detail: str = "") -> None:
         """A dangerous instant happened; run the continuous checkers now."""
         self.notifications += 1
-        if self._saturated or (self.notifications - 1) % self.stride:
+        if self._saturated:
             return
         self.checks_run += 1
         for name in self.checks:

@@ -77,13 +77,6 @@ class TestInvariantMonitor:
         with pytest.raises(ValueError, match="unknown continuous check"):
             InvariantMonitor.install(system.kernel, checks=("frame_refcounts",))
 
-    def test_stride_thins_check_points(self):
-        system = build_system("latr", cores=2)
-        monitor = InvariantMonitor.install(system.kernel, stride=10)
-        for _ in range(25):
-            monitor.notify("test")
-        assert monitor.checks_run == 3  # notifications 1, 11, 21
-
     def test_quiescent_check_includes_refcounts(self):
         system = build_system("latr", cores=2)
         monitor = InvariantMonitor.install(system.kernel)

@@ -7,6 +7,8 @@ enumerated space* with a shrunk replayable counterexample, and sharded
 exploration reports byte-identically to the serial DFS.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.verify import MUTATIONS
@@ -62,6 +64,8 @@ class TestReductionSoundness:
         assert _hashes(brute) == _hashes(reduced)
         assert reduced.nodes <= brute.nodes
         assert reduced.hash_pruned + reduced.sleep_skipped > 0
+        # Unmutated scopes backtrack by snapshot restore, never by replay.
+        assert all(c.restores > 0 and c.replays == 0 for c in reduced.cells)
 
 
 class TestHealthyExploration:
@@ -98,6 +102,9 @@ class TestMutationAudit:
         assert 0 < len(ce.shrunk) <= len(ce.trace)
         # The shrunk trace is a standalone replayable repro.
         assert check_trace(config, ce.shrunk), mutation
+        # A mutation may carry state the snapshot layer does not capture,
+        # so mutated scopes backtrack by prefix replay, never by restore.
+        assert all(c.restores == 0 for c in result.cells), mutation
 
 
 class TestShardingDeterminism:
@@ -110,6 +117,9 @@ class TestShardingDeterminism:
             scope=McScope(cores=2, pages=2, ops=5, mutate="reclaim_delay_zero")
         )
         assert run_mc(config, jobs=1).render() == run_mc(config, jobs=2).render()
+        # Run to exhaustion, every mutated cell backtracks by replay only.
+        exhaustive = run_mc(replace(config, stop_on_first=False, shrink_budget=0))
+        assert all(c.restores == 0 and c.replays > 0 for c in exhaustive.cells)
 
     def test_merge_discards_cells_after_first_failure(self):
         config = McConfig(

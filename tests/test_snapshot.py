@@ -2,102 +2,83 @@
 
 The snapshot/fork machinery (``repro.snapshot``) is a pure optimization --
 warm-boot pools for the fuzzer and O(1) backtracking for the model
-checker. ``use_snapshots=False`` is the escape hatch that turns all of it
-off, and these tests are the gate that keeps the two paths byte-identical:
-same result tables, same end-state snapshots, same canonical state sets.
+checker. These tests are the gate that keeps it byte-identical to the
+references it replaced: cold boots for the fuzzer, prefix replay for the
+model checker. Both references are built here, from the same public
+pieces the production paths use.
 """
 
 import pytest
 
-from repro.verify import FuzzConfig, run_fuzz
-from repro.verify.mc import McConfig, McScope, run_mc
+from repro.snapshot import BootPool
+from repro.verify import FuzzConfig, generate_plan, run_fuzz, run_one
+from repro.verify.mc import McConfig, McScope, merge_cells, root_actions, run_mc
+from repro.verify.mc.explorer import _CellExplorer
 
 
-def _render_without_warm_boot_accounting(report) -> str:
-    # The "warm boots: N cold, M restored" line is the one legitimate
-    # difference between the legs: it reports how the result was produced,
-    # not what it is.
-    return "\n".join(
-        line
-        for line in report.render().splitlines()
-        if not line.startswith("warm boots:")
+def _observables(res):
+    """Everything a fuzz run reports about the world it drove."""
+    return (
+        res.snapshot,
+        res.stats_summary,
+        [str(v) for v in res.violations],
+        res.errors,
+        res.ops_executed,
+        res.sim_time_ns,
     )
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_fuzz_differential_snapshots_vs_cold_boot(seed):
-    """One fuzz campaign per leg: warm-boot restores on, then fully off.
-
-    Everything observable -- per-mechanism end-state snapshots, stats
-    summaries, violations, differential mismatches, the rendered table --
-    must be byte-identical."""
-
-    def leg(use_snapshots: bool):
-        return run_fuzz(
-            FuzzConfig(
-                seed=seed,
-                n_ops=40,
-                shrink=False,
-                use_snapshots=use_snapshots,
-            )
-        )
-
-    warm = leg(True)
-    cold = leg(False)
-    assert warm.ok and cold.ok
-    # The cold leg must genuinely not touch the pool.
-    assert cold.warm_boots == 0 and cold.warm_restores == 0
-    assert warm.warm_boots > 0
-    assert _render_without_warm_boot_accounting(
-        warm
-    ) == _render_without_warm_boot_accounting(cold)
-    assert set(warm.results) == set(cold.results)
-    for name, warm_res in warm.results.items():
-        cold_res = cold.results[name]
-        assert warm_res.snapshot == cold_res.snapshot, name
-        assert warm_res.stats_summary == cold_res.stats_summary, name
-        assert [str(v) for v in warm_res.violations] == [
-            str(v) for v in cold_res.violations
-        ], name
-        assert warm_res.errors == cold_res.errors, name
-        assert warm_res.ops_executed == cold_res.ops_executed, name
-        assert warm_res.sim_time_ns == cold_res.sim_time_ns, name
-    assert warm.mismatches == cold.mismatches
+    """Every mechanism's pooled run must equal a cold boot of the same plan:
+    the campaign's own first boots, and a second pooled run that restores
+    the post-boot snapshot after a dirty run of a shorter plan (the shrink
+    loop's pattern)."""
+    report = run_fuzz(FuzzConfig(seed=seed, n_ops=40, shrink=False))
+    assert report.ok
+    assert report.warm_boots > 0
+    plan = generate_plan(seed, 40)
+    pool = BootPool()
+    for name, warm in report.results.items():
+        cold = _observables(run_one(name, plan, pool=None))
+        assert _observables(warm) == cold, name
+        run_one(name, plan.with_ops(plan.ops[:20]), pool=pool)
+        restored = run_one(name, plan, pool=pool)
+        assert _observables(restored) == cold, name
+    assert pool.restores == len(report.results)
 
 
-def _explore(use_snapshots: bool):
-    report = run_mc(
-        McConfig(
-            scope=McScope(cores=3, pages=2, ops=5),
-            differential=False,
-            collect_hashes=True,
-            stop_on_first=False,
-            use_snapshots=use_snapshots,
-        )
-    )
+def _explored(cells):
     hashes = set()
-    nodes = 0
-    restores = 0
-    replays = 0
-    for cell in report.cells:
+    for cell in cells:
         hashes |= set(cell.state_hashes)
-        nodes += cell.nodes
-        restores += cell.restores
-        replays += cell.replays
-    return report.verdict, nodes, hashes, restores, replays
+    return sum(cell.nodes for cell in cells), hashes
 
 
 def test_mc_snapshot_explorer_reduction_soundness():
-    """The snapshot explorer must visit exactly the canonical state set
-    the replay explorer visits at 3c/2p/5ops -- DPOR pruning decisions
+    """The snapshot explorer must visit exactly the canonical state set a
+    prefix-replay explorer visits at 3c/2p/5ops -- DPOR pruning decisions
     (visited-set, sleep sets, stutter detection) all key off state hashes,
     so a single divergent hash would silently change the reduction."""
-    snap_verdict, snap_nodes, snap_hashes, restores, replays = _explore(True)
-    replay_verdict, replay_nodes, replay_hashes, _, cold_replays = _explore(False)
-    assert snap_verdict == "ok" and replay_verdict == "ok"
-    assert snap_nodes == replay_nodes
-    assert snap_hashes == replay_hashes
+    config = McConfig(
+        scope=McScope(cores=3, pages=2, ops=5),
+        differential=False,
+        collect_hashes=True,
+        stop_on_first=False,
+    )
+    snap = run_mc(config)
+    roots = root_actions(config)
+    replay_cells = []
+    for i, root in enumerate(roots):
+        explorer = _CellExplorer(config, i, root, roots[:i])
+        explorer.use_snapshots = False  # the reference: cold-boot prefix replay
+        replay_cells.append(explorer.run())
+    replay = merge_cells(config, roots, replay_cells)
+    assert snap.verdict == replay.verdict == "ok"
+    assert _explored(snap.cells) == _explored(replay.cells)
     # The legs must actually be different mechanisms: the snapshot leg
     # backtracks via restore() only, the replay leg via prefix replay only.
-    assert restores > 0 and replays == 0
-    assert cold_replays > 0
+    assert sum(c.restores for c in snap.cells) > 0
+    assert sum(c.replays for c in snap.cells) == 0
+    assert sum(c.replays for c in replay.cells) > 0
+    assert sum(c.restores for c in replay.cells) == 0
