@@ -14,6 +14,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -37,7 +38,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (e.g. fig6, tab5), 'all', 'list', 'fuzz', 'mc', "
-        "'bench', or 'ci'; 'run <id>' is accepted as an alias for '<id>'",
+        "or 'ci'; 'run <id>' is accepted as an alias for '<id>'",
     )
     parser.add_argument(
         "run_target",
@@ -102,27 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="mc: skip the differential oracle at complete traces",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="bench: reduced suite (fig6 + a short sweep-stress) for CI smoke",
-    )
-    parser.add_argument(
-        "--check-regression",
-        action="store_true",
-        help="bench: exit non-zero if wall-clock regresses beyond --threshold",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="bench: regression threshold in percent (default 25)",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        default=None,
-        help="bench: directory for BENCH_*.json files (default benchmarks/results)",
-    )
-    parser.add_argument(
         "-o",
         "--output",
         default=None,
@@ -152,9 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.experiment == "mc":
         return _run_mc_command(args)
-
-    if args.experiment == "bench":
-        return _run_bench_command(args)
 
     if args.experiment == "ci":
         return _run_ci_command(args)
@@ -206,24 +183,6 @@ def _emit(exp_id: str, result, sink, csv_dir: Optional[str]) -> None:
         os.makedirs(csv_dir, exist_ok=True)
         with open(os.path.join(csv_dir, f"{exp_id}.csv"), "w") as csv_file:
             csv_file.write(result.to_csv())
-
-
-def _run_bench_command(args) -> int:
-    """``python -m repro bench [--quick] [--check-regression]``: time the
-    fixed wall-clock suite, write BENCH_<timestamp>.json, compare to the
-    previous one."""
-    from .bench import DEFAULT_BENCH_DIR, DEFAULT_THRESHOLD_PCT, run_bench
-
-    started = time.time()
-    print(f"wall-clock bench ({'quick' if args.quick else 'full'} suite):")
-    _report, code = run_bench(
-        bench_dir=args.bench_dir or DEFAULT_BENCH_DIR,
-        quick=args.quick,
-        check_regression=args.check_regression,
-        threshold_pct=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD_PCT,
-    )
-    print(f"[bench done in {time.time() - started:.1f}s]")
-    return code
 
 
 def _run_fuzz_command(args) -> int:
@@ -423,27 +382,53 @@ def _virt_smoke() -> int:
     return 0
 
 
-def _fleet_smoke() -> int:
-    """Fleet gate: the 960-core spec boots and runs the stress churn at a
-    short scope, posting and sweeping LATR states. The fleet bench *floor*
-    rides in the quick-bench step (fleet-stress-960c under
-    ``--check-regression``); this step is the cheap correctness half."""
-    from .bench import run_fleet_stress
+def perfbench_problem(stdout: str) -> Optional[str]:
+    """Why one ``perfbench/run.py`` run failed, read from its last line (the
+    JSON result), or None for a correct run with no failed operation.
+    ``run.py`` exits 0 on an ``INCORRECT:`` run too, so the exit code alone
+    proves nothing."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    if not isinstance(result, dict):
+        return "no JSON result line"
+    if result.get("correct") is not True:
+        return "result is not correct"
+    if result.get("failed", 0) > 0:
+        return f"{result['failed']} of {result.get('attempted')} operations failed"
+    return None
 
-    scope = dict(
-        machine="fleet-16s960c", drivers=8, pages=4, touchers=3, duration_ms=2
+
+def _perfbench_smoke(repo_root: str, env) -> int:
+    """Benchmark gate: perfbench's own tests, then one short seed-1 run of
+    every workload ``BENCHMARK.json`` names, each checked by
+    :func:`perfbench_problem` (digest agreement, Fig. 9 shape, fleet
+    sweeps, mc verdict)."""
+    import subprocess
+
+    code = subprocess.call(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q"],
+        cwd=repo_root,
+        env=env,
     )
-    summary = run_fleet_stress(scope=scope)
-    if not summary.get("count.latr.sweeps") or not summary.get("count.latr.states_posted"):
-        print(
-            "fleet-smoke: 960-core run posted no LATR states or never swept",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"fleet ok: 960 cores, {int(summary['count.latr.sweeps'])} sweeps, "
-        f"{int(summary['count.latr.states_posted'])} posts"
-    )
+    if code != 0:
+        return code
+    with open(os.path.join(repo_root, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    for workload in workloads:
+        argv = [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "1", "--seconds", "1", "--trace", "0",
+        ]
+        proc = subprocess.run(argv, cwd=repo_root, env=env, capture_output=True, text=True)
+        sys.stdout.write(proc.stdout)
+        sys.stderr.write(proc.stderr)
+        problem = f"exit {proc.returncode}" if proc.returncode else perfbench_problem(proc.stdout)
+        if problem:
+            print(f"perfbench {workload}: {problem}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -453,16 +438,13 @@ def _run_ci_command(args) -> int:
     ``tests/test_snapshot.py``), a small exhaustive mc scope, the numaPTE
     smoke (replication/escape-hatch/mutation-audit gate), the virt smoke
     (two-level translation: 2D-walk/host-invalidation accounting,
-    escape-hatch byte-identity, broken-EPT-shootdown mutation audit), the
-    fleet smoke (960-core boot, LATR posts and sweeps), a parallel
-    fast-mode smoke of every experiment, and the quick wall-clock bench
-    (which gates the mc-snapshot node/state counts, the engine-stress
-    order identity and the mc-snapshot/openloop/fleet-stress events/s
-    floors) with its regression check against the committed BENCH_*.json
-    baseline (exit 2 if the baseline is missing). Exits non-zero on the
+    escape-hatch byte-identity, broken-EPT-shootdown mutation audit), a
+    parallel fast-mode smoke of every experiment, and the perfbench
+    correctness step (:func:`_perfbench_smoke`). Exits non-zero on the
     first failure.
 
-    Needs a source checkout (it locates ``tests/`` next to ``src/``)."""
+    Needs a source checkout (it locates ``tests/`` and ``perfbench/`` next
+    to ``src/``)."""
     import subprocess
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -477,13 +459,14 @@ def _run_ci_command(args) -> int:
         print(f"ci: {label}: {status} [{time.time() - step_start:.1f}s]", flush=True)
         return code
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+
     def tier1() -> int:
         import importlib.util
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         argv = [sys.executable, "-m", "pytest", "-x", "-q"]
         if importlib.util.find_spec("pytest_cov") is not None:
             # Coverage gate rides along wherever the dev extras are
@@ -504,12 +487,8 @@ def _run_ci_command(args) -> int:
         ),
         ("numapte-smoke", _numapte_smoke),
         ("virt-smoke", _virt_smoke),
-        ("fleet-smoke", _fleet_smoke),
         ("repro all --fast --jobs 2", lambda: main(["all", "--fast", "--jobs", "2"])),
-        (
-            "repro bench --quick --check-regression",
-            lambda: main(["bench", "--quick", "--check-regression"]),
-        ),
+        ("perfbench", lambda: _perfbench_smoke(repo_root, env)),
     ]
     for label, runner in steps:
         code = step(label, runner)

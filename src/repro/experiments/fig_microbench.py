@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .runner import ExperimentResult, RunCell, cell_experiment
 
-MICROBENCH_FN = "repro.workloads.microbench:run_microbench"
+RUN_MICROBENCH = "repro.workloads.microbench:run_microbench"
 
 
 def _fig6_cores(fast: bool):
@@ -33,7 +33,7 @@ def _core_sweep_cells(exp_id: str, machine: str, core_counts, reps: int, fast: b
                 RunCell(
                     exp_id=exp_id,
                     cell_id=f"cores={cores}/{mech}",
-                    fn=MICROBENCH_FN,
+                    fn=RUN_MICROBENCH,
                     params=dict(
                         mechanism=mech, machine=machine, cores=cores, pages=1, reps=reps
                     ),
@@ -117,7 +117,7 @@ def fig8_cells(fast: bool = False):
                 RunCell(
                     exp_id="fig8",
                     cell_id=f"pages={pages}/{mech}",
-                    fn=MICROBENCH_FN,
+                    fn=RUN_MICROBENCH,
                     params=dict(
                         mechanism=mech,
                         machine="commodity-2s16c",

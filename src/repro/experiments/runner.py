@@ -1,8 +1,8 @@
 """Experiment machinery: result tables, the run-cell model, execution backends.
 
 Each paper table/figure has one module in this package. The CLI
-(``python -m repro <id>``) and the benchmark harness both go through
-:func:`run_experiment` / :func:`run_many`.
+(``python -m repro <id>``) and the figure benchmarks under
+``benchmarks/`` go through :func:`run_experiment` / :func:`run_many`.
 
 The cell model
 ==============

@@ -272,8 +272,8 @@ class Simulator:
     which structure holds an event."""
 
     #: Events executed across all Simulator instances in this process; the
-    #: benchmark harness snapshots it around a timed run to report events/sec
-    #: even when the run builds several machines internally.
+    #: run-cell backend and perfbench snapshot it around a run to count its
+    #: events even when the run builds several machines internally.
     total_events_executed = 0
 
     def __init__(

@@ -179,10 +179,10 @@ class LatencyRecorder:
 
     def percentile(self, pct: float) -> float:
         """Linear-interpolated percentile, pct in [0, 100]."""
-        if not self.samples:
-            return 0.0
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile out of range: {pct}")
+        if not self.samples:
+            return 0.0
         # Tail-latency experiments ask for several percentiles per recorder;
         # sort once and reuse until any mutation of ``samples`` bumps the
         # version (record(), direct appends, or same-length in-place edits).

@@ -74,6 +74,59 @@ def make_sim(wheel: bool = True) -> Simulator:
     return Simulator() if wheel else HeapSimulator()
 
 
+def _xorshift(state: List[int]) -> int:
+    """Deterministic 32-bit xorshift, so both engine legs replay the exact
+    same schedule."""
+    x = state[0]
+    x ^= (x << 13) & 0xFFFFFFFF
+    x ^= x >> 17
+    x ^= (x << 5) & 0xFFFFFFFF
+    state[0] = x
+    return x
+
+
+def run_engine_stress(n_events: int, heap: bool = False):
+    """Pure event-loop churn, no kernel model: eight periodic generators
+    keep scheduling one-shot timers whose delays are spread across the
+    wheel's three placement regimes (current slot, in-horizon bucket,
+    overflow heap) and cancel a deterministic subset. Returns
+    ``(simulator, order_log)``; the order log is the executed
+    ``(time, seq)`` sequence, which must not depend on ``heap`` (True runs
+    the choice-hook heap reference)."""
+    sim = make_sim(wheel=not heap)
+    sim.order_log = []
+    rng = [0x2545F491]
+    cancel_pool: List[object] = []
+
+    def noop() -> None:
+        pass
+
+    def churn() -> None:
+        for _ in range(3):
+            r = _xorshift(rng)
+            kind = r % 16
+            if kind < 8:
+                # Near events: land in the active slot or the next few.
+                delay = 1 + (r >> 4) % 4_000
+            elif kind < 14:
+                # Mid events: inside the wheel horizon (~2.1 ms).
+                delay = 4_096 + (r >> 4) % 2_000_000
+            else:
+                # Far events: past the horizon, into the overflow heap.
+                delay = 2_200_000 + (r >> 4) % 50_000_000
+            handle = sim.after(delay, noop)
+            if r & 1:
+                cancel_pool.append(handle)
+        while len(cancel_pool) > 32:
+            victim = cancel_pool.pop(_xorshift(rng) % len(cancel_pool))
+            victim.cancel()
+
+    for i in range(8):
+        sim.every(7_000 + 911 * i, churn, start=503 * i)
+    sim.run(max_events=n_events)
+    return sim, sim.order_log
+
+
 @dataclass(eq=False)
 class ShadowLatrState:
     """Reference object model of one LATR state: plain fields and core-id

@@ -1,6 +1,10 @@
 """CLI error paths and plumbing edge cases for ``python -m repro``."""
 
-from repro.cli import main
+import json
+
+import pytest
+
+from repro.cli import main, perfbench_problem
 
 
 def _tables(text):
@@ -10,8 +14,14 @@ def _tables(text):
 
 class TestErrorPaths:
     def test_unknown_experiment_exits_2(self, capsys):
-        assert main(["definitely-not-an-experiment"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        # No `bench` command: perfbench/run.py is the only wall-clock benchmark.
+        for name in ("definitely-not-an-experiment", "bench"):
+            assert main([name]) == 2
+            assert "unknown experiment" in capsys.readouterr().err
+
+    def test_unknown_flag_is_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["fig6", "--check-regression"])
 
     def test_fuzz_unknown_mutation_exits_2(self, capsys):
         assert main(["fuzz", "--mutate", "bogus"]) == 2
@@ -50,3 +60,32 @@ class TestJobsPlumbing:
         assert main(["list"]) == 0
         out = capsys.readouterr().out.split()
         assert "model-exhaust" in out
+
+
+def _result_line(correct, failed):
+    return json.dumps({"correct": correct, "attempted": 40, "failed": failed, "metrics": {}})
+
+
+class TestPerfbenchStep:
+    """``repro ci`` reads perfbench's last output line, because
+    ``perfbench/run.py`` exits 0 on an incorrect run too."""
+
+    def test_correct_run_passes(self):
+        stdout = "digest mc 4ba7aecc95797ac2\n" + _result_line(True, 0) + "\n"
+        assert perfbench_problem(stdout) is None
+
+    @pytest.mark.parametrize(
+        "stdout, problem",
+        [
+            (
+                "INCORRECT: digest differs between samples\n" + _result_line(False, 40),
+                "result is not correct",
+            ),
+            (_result_line(True, 1), "1 of 40 operations failed"),
+            ("Traceback (most recent call last):\n", "no JSON result line"),
+            ("", "no JSON result line"),
+        ],
+        ids=["incorrect", "failed-ops", "traceback", "empty"],
+    )
+    def test_bad_run_fails(self, stdout, problem):
+        assert perfbench_problem(stdout) == problem

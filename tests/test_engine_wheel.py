@@ -12,11 +12,17 @@ engines and compare everything.
 from __future__ import annotations
 
 import pytest
-from helpers import HeapSimulator, drain, make_proc, make_sim, run_to_completion
+from helpers import (
+    HeapSimulator,
+    drain,
+    make_proc,
+    make_sim,
+    run_engine_stress,
+    run_to_completion,
+)
 
 import repro
 from repro import build_system
-from repro.bench import run_engine_stress
 from repro.mm.addr import PAGE_SIZE
 from repro.sim.engine import (
     WHEEL_SLOT_NS,

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.verify import MUTATIONS
 from repro.verify.mc import (
     KINDS,
@@ -88,6 +89,26 @@ class TestHealthyExploration:
     def test_empty_program_is_trivially_ok(self):
         result = run_mc(McConfig(scope=McScope(cores=2, pages=1, ops=0)))
         assert result.verdict == "ok"
+
+    def test_4c3p5o_exact_work_counts(self):
+        """The 4-core/3-page/5-op exploration is pinned exactly. Nodes and
+        states move with any change to the reduction or the canonical state
+        hash; the simulator event count grows to about 469k if the explorer
+        backtracks by prefix replay instead of snapshot restore."""
+        events_before = Simulator.total_events_executed
+        result = run_mc(
+            McConfig(
+                scope=McScope(cores=4, pages=3, ops=5),
+                differential=False,
+                collect_hashes=True,
+                stop_on_first=False,
+            )
+        )
+        assert result.verdict == "ok"
+        assert Simulator.total_events_executed - events_before == 13_518
+        assert result.nodes == 17_681
+        assert len(_hashes(result)) == 2_787
+        assert all(c.restores > 0 and c.replays == 0 for c in result.cells)
 
 
 class TestMutationAudit:

@@ -48,6 +48,8 @@ class TestLatencyRecorder:
 
     def test_percentile_out_of_range(self):
         rec = LatencyRecorder("lat")
+        with pytest.raises(ValueError):
+            rec.percentile(150)  # checked before the empty-recorder answer
         rec.record(1)
         with pytest.raises(ValueError):
             rec.percentile(101)

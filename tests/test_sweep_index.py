@@ -14,7 +14,9 @@ import pytest
 from helpers import FullScanLatr, drain, make_proc, run_to_completion
 
 from repro import build_system
+from repro.coherence import MECHANISMS
 from repro.mm.addr import PAGE_SIZE
+from repro.sim.engine import MSEC, AllOf, Timeout
 from repro.verify import fuzzer
 from repro.verify.fuzzer import run_one
 from repro.verify.plan import generate_plan
@@ -112,3 +114,52 @@ class TestIndexBookkeeping:
         assert coherence.active_state_count() == 0
         state.active = False  # idempotent: no double-decrement
         assert coherence.active_state_count() == 0
+
+
+def run_trickle_stress():
+    """Tick-dominated LATR load for 4 ms on the 16-core box: a task pinned
+    to every core (so every core sweeps every tick) while core 0 keeps a
+    trickle of mmap / write / munmap going, each range first read by a
+    rotating scatter of remote cores. Returns the final
+    ``StatsRegistry.summary()``."""
+    system = build_system("latr", machine="commodity-2s16c", seed=7)
+    kernel = system.kernel
+    cores = kernel.machine.cores
+    proc = kernel.create_process("trickle-stress")
+    tasks = [kernel.spawn_thread(proc, f"ts.t{core.id}", core.id) for core in cores]
+
+    def touch(task, vrange):
+        core = kernel.machine.core(task.home_core_id)
+        yield from kernel.syscalls.touch_pages(task, core, vrange, write=False)
+
+    def driver():
+        t0, c0 = tasks[0], kernel.machine.core(0)
+        rep = 0
+        while True:
+            vrange = yield from kernel.syscalls.mmap(t0, c0, 4 * PAGE_SIZE)
+            yield from kernel.syscalls.touch_pages(t0, c0, vrange, write=True)
+            # A few cacheing cores scattered across the sockets, rotating
+            # with the rep count so sweeps keep pulling fresh remote state.
+            remote = [tasks[(rep * 7 + i * 15 + 1) % len(tasks)] for i in range(4)]
+            spawned = [
+                system.sim.spawn(touch(task, vrange), name=f"ts.touch{task.tid}")
+                for task in remote
+            ]
+            yield AllOf(spawned)
+            yield from kernel.syscalls.munmap(t0, c0, vrange)
+            rep += 1
+            yield Timeout(MSEC)
+
+    system.sim.spawn(driver(), name="trickle-stress-driver")
+    system.sim.run(until=4 * MSEC)
+    return kernel.stats.summary()
+
+
+class TestSweepStressEquivalence:
+    def test_indexed_and_full_scan_agree_on_small_machine(self, monkeypatch):
+        indexed = run_trickle_stress()
+        monkeypatch.setitem(MECHANISMS, "latr", FullScanLatr)
+        full = run_trickle_stress()
+        assert indexed == full
+        assert indexed["count.latr.sweeps"] > 0
+        assert indexed["count.shootdown.initiated"] > 0
