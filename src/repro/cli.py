@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .experiments import available_experiments, run_experiment, run_many
 
@@ -382,11 +382,41 @@ def _virt_smoke() -> int:
     return 0
 
 
+#: perfbench's seed-1 leg digests (hashes of each leg's stats summary, or
+#: of the mc verdict/nodes/state set). A change that only makes the
+#: simulator faster must leave every one of them unchanged; a change that
+#: alters the model updates this table and says why.
+PINNED_DIGESTS = {
+    "apache-linux": "a4a405e4e2fa5696",
+    "apache-abis": "d614b75dcf5894ed",
+    "apache-latr": "f0f2d5f3b53688f5",
+    "fleet-latr": "484e37e1d115ea33",
+    "mc": "4ba7aecc95797ac2",
+}
+
+
+def perfbench_digests(stdout: str) -> Dict[str, str]:
+    """The ``digest <leg> <hex>`` lines of one perfbench run, by leg."""
+    digests = {}
+    for line in stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[0] == "digest":
+            digests[fields[1]] = fields[2]
+    return digests
+
+
 def perfbench_problem(stdout: str) -> Optional[str]:
-    """Why one ``perfbench/run.py`` run failed, read from its last line (the
-    JSON result), or None for a correct run with no failed operation.
-    ``run.py`` exits 0 on an ``INCORRECT:`` run too, so the exit code alone
-    proves nothing."""
+    """Why one seed-1 ``perfbench/run.py`` run failed, or None for a correct
+    run with no failed operation whose digests match :data:`PINNED_DIGESTS`.
+    Correctness is read from the last line (the JSON result): ``run.py``
+    exits 0 on an ``INCORRECT:`` run too, so the exit code alone proves
+    nothing."""
+    for leg, digest in perfbench_digests(stdout).items():
+        pinned = PINNED_DIGESTS.get(leg)
+        if pinned is None:
+            return f"digest {leg} has no pinned value"
+        if digest != pinned:
+            return f"digest {leg} is {digest}, pinned {pinned}"
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -404,8 +434,9 @@ def perfbench_problem(stdout: str) -> Optional[str]:
 def _perfbench_smoke(repo_root: str, env) -> int:
     """Benchmark gate: perfbench's own tests, then one short seed-1 run of
     every workload ``BENCHMARK.json`` names, each checked by
-    :func:`perfbench_problem` (digest agreement, Fig. 9 shape, fleet
-    sweeps, mc verdict)."""
+    :func:`perfbench_problem` (digest agreement across samples and with
+    :data:`PINNED_DIGESTS`, Fig. 9 shape, fleet sweeps, mc verdict). Every
+    pinned leg must have been reported."""
     import subprocess
 
     code = subprocess.call(
@@ -417,6 +448,7 @@ def _perfbench_smoke(repo_root: str, env) -> int:
         return code
     with open(os.path.join(repo_root, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    seen = set()
     for workload in workloads:
         argv = [
             sys.executable, "perfbench/run.py", "--workload", workload,
@@ -429,6 +461,11 @@ def _perfbench_smoke(repo_root: str, env) -> int:
         if problem:
             print(f"perfbench {workload}: {problem}", file=sys.stderr)
             return 1
+        seen |= perfbench_digests(proc.stdout).keys()
+    missing = sorted(PINNED_DIGESTS.keys() - seen)
+    if missing:
+        print(f"perfbench: no digest reported for {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,8 +12,9 @@ IPIs dominate.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
+from ..hw.cpumask import popcount
 from ..mm.addr import VirtRange
 from ..mm.frames import FrameBatch
 from ..mm.mmstruct import MmStruct
@@ -36,35 +37,32 @@ class AbisShootdown(TLBCoherence):
 
     def __init__(self):
         super().__init__()
-        #: (mm_id, vpn) -> cores that cached the translation since the last
-        #: shootdown of that page.
-        self._sharers: Dict[Tuple[int, int], Set[int]] = {}
+        #: (mm_id, vpn) -> bitmask of the cores that cached the translation
+        #: since the last shootdown of that page.
+        self._sharers: Dict[Tuple[int, int], int] = {}
 
     # ---- tracking -----------------------------------------------------------------
 
     def on_tlb_fill(self, core, mm: MmStruct, vpn: int) -> int:
-        self._sharers.setdefault((mm.mm_id, vpn), set()).add(core.id)
+        sharers = self._sharers
+        key = (mm.mm_id, vpn)
+        sharers[key] = sharers.get(key, 0) | core.bit
         self._stats.counter("abis.fills_tracked").add()
         return self.track_fill_ns
 
-    def _targets_for_range(self, core, mm: MmStruct, vrange: VirtRange) -> List:
-        """Actual sharers of the range, intersected with the usual rules
-        (idle cores skipped and flagged, initiator excluded)."""
-        sharing_ids: Set[int] = set()
+    def _targets_for_range(self, core, mm: MmStruct, vrange: VirtRange) -> int:
+        """Bitmask of the actual sharers of the range, intersected with the
+        usual rules (idle cores skipped and flagged, initiator excluded)."""
+        sharers = self._sharers
+        mm_id = mm.mm_id
+        sharing = 0
         for vpn in vrange.vpns():
-            owners = self._sharers.pop((mm.mm_id, vpn), None)
-            if owners:
-                sharing_ids |= owners
-        sharing_ids.discard(core.id)
-        machine = self.kernel.machine
-        targets = []
-        for core_id in sorted(sharing_ids & mm.cpumask):
-            target = machine.core(core_id)
-            if target.lazy_tlb_mode:
-                target.needs_flush_on_wake = True
-                continue
-            targets.append(target)
-        return targets
+            sharing |= sharers.pop((mm_id, vpn), 0)
+        remote = sharing & mm.cpumask & ~core.bit
+        skipped = remote & self.kernel.machine.lazy_mask
+        if skipped:
+            self._flag_for_wake(skipped)
+        return remote ^ skipped
 
     # ---- mechanism API ---------------------------------------------------------------
 
@@ -79,10 +77,10 @@ class AbisShootdown(TLBCoherence):
         start = self.kernel.sim.now
         yield from core.execute(self.local_invalidate(core, mm, vrange))
         yield from core.execute(vrange.n_pages * self.lookup_per_page_ns)
-        targets = self._targets_for_range(core, mm, vrange)
-        self._stats.counter("abis.ipis_saved").add(
-            max(0, len(mm.shootdown_targets(core.id)) - len(targets))
-        )
+        mask = self._targets_for_range(core, mm, vrange)
+        # The cpumask's remote cores that the access bits ruled out.
+        self._stats.counter("abis.ipis_saved").add(popcount(mm.cpumask & ~core.bit & ~mask))
+        targets = self.kernel.machine.cores_in(mask)
         self._stats.counter("shootdown.initiated").add()
         self._stats.rate("shootdowns").hit()
         yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FREE)
@@ -102,7 +100,7 @@ class AbisShootdown(TLBCoherence):
         apply_pte_change()
         yield from core.execute(self.local_invalidate(core, mm, vrange))
         yield from core.execute(vrange.n_pages * self.lookup_per_page_ns)
-        targets = self._targets_for_range(core, mm, vrange)
+        targets = self.kernel.machine.cores_in(self._targets_for_range(core, mm, vrange))
         self._stats.counter("shootdown.initiated").add()
         self._stats.rate("shootdowns").hit()
         yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.MIGRATION)

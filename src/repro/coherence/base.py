@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, List, Optional
 
+from ..hw.cpumask import mask_ids
 from ..mm.addr import VirtRange
 from ..mm.mmstruct import MmStruct
 from ..sim.engine import Signal
@@ -139,23 +140,35 @@ class TLBCoherence:
     def _stats(self):
         return self.kernel.stats
 
-    def select_targets(self, initiator: "Core", mm: MmStruct) -> List["Core"]:
-        """Remote cores that may cache this mm's translations.
+    def target_mask(self, initiator: "Core", mm: MmStruct) -> int:
+        """Bitmask of the remote cores that may cache this mm's translations.
 
         Implements Linux's lazy-TLB idle optimization (paper section 2.3):
         idle cores are skipped and instead flagged to full-flush on wake, so
-        no mechanism ever interrupts an idle core.
+        no mechanism ever interrupts an idle core. The result is
+        ``mm.cpumask & ~initiator & ~lazy``; only the skipped idle cores are
+        visited.
         """
-        machine = self.kernel.machine
-        targets = []
-        for core_id in mm.shootdown_targets(initiator.id):
-            core = machine.core(core_id)
-            if core.lazy_tlb_mode:
-                core.needs_flush_on_wake = True
-                self._stats.counter("shootdown.idle_skipped").add()
-                continue
-            targets.append(core)
-        return targets
+        remote = mm.cpumask & ~initiator.bit
+        skipped = remote & self.kernel.machine.lazy_mask
+        if not skipped:
+            return remote
+        self._stats.counter("shootdown.idle_skipped").add(self._flag_for_wake(skipped))
+        return remote ^ skipped
+
+    def _flag_for_wake(self, skipped: int) -> int:
+        """Flag every core in the bitmask ``skipped`` to full-flush when it
+        wakes; returns how many cores that was."""
+        cores = self.kernel.machine.cores
+        ids = mask_ids(skipped)
+        for core_id in ids:
+            cores[core_id].needs_flush_on_wake = True
+        return len(ids)
+
+    def select_targets(self, initiator: "Core", mm: MmStruct) -> List["Core"]:
+        """:meth:`target_mask` as cores in ascending id order (what an IPI
+        round sends to)."""
+        return self.kernel.machine.cores_in(self.target_mask(initiator, mm))
 
     def local_invalidate(self, core: "Core", mm: MmStruct, vrange: VirtRange) -> int:
         """Invalidate the initiator's own TLB; returns the cost in ns."""

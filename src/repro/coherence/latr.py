@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional
 
+from ..hw.cpumask import popcount
 from ..mm.addr import VirtRange
 from ..mm.frames import FrameBatch
 from ..mm.mmstruct import MmStruct
@@ -202,8 +203,8 @@ class LatrCoherence(TLBCoherence):
     ) -> Generator:
         start = self.kernel.sim.now
         yield from core.execute(self.local_invalidate(core, mm, vrange))
-        targets = self.select_targets(core, mm)
-        if not targets:
+        bitmask = self.target_mask(core, mm)
+        if not bitmask:
             # No remote core can cache these translations; the local TLB is
             # already clean, so immediate reuse is safe (same as Linux's
             # no-IPI path). Still one initiated free-class shootdown, so the
@@ -217,9 +218,6 @@ class LatrCoherence(TLBCoherence):
             self._stats.latency("shootdown.free").record(self.kernel.sim.now - start)
             return
 
-        bitmask = 0
-        for t in targets:
-            bitmask |= 1 << t.id
         state = LatrState(
             vrange=vrange,
             mm=mm,
@@ -237,6 +235,7 @@ class LatrCoherence(TLBCoherence):
             self._stats.counter("latr.fallback_ipi").add()
             self._stats.counter("shootdown.initiated").add()
             self._stats.rate("shootdowns").hit()
+            targets = self.kernel.machine.cores_in(bitmask)
             yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
             yield from core.execute(FrameBatch.units_of(pfns) * self._lat.page_free_ns)
             self.kernel.release_frames(pfns)
@@ -250,7 +249,7 @@ class LatrCoherence(TLBCoherence):
         if self.kernel.tracer is not None:
             self.kernel.tracer.emit(
                 "latr", "state.post", core=core.id,
-                detail=f"pages={vrange.n_pages} targets={len(targets)}",
+                detail=f"pages={vrange.n_pages} targets={popcount(bitmask)}",
             )
         mm.defer_frames(state.pfns)
         if vrange_to_free is not None:
@@ -272,15 +271,13 @@ class LatrCoherence(TLBCoherence):
         vrange: VirtRange,
         apply_pte_change: Callable[[], None],
     ) -> Generator:
-        targets = self.select_targets(core, mm)
-        bitmask = 0
-        for t in targets:
-            bitmask |= 1 << t.id
+        remote = self.target_mask(core, mm)
+        bitmask = remote
         # The initiator participates too: its own TLB is invalidated at its
         # next tick, after the first sweeper applied the PTE change (paper
         # Figure 3b includes both cores in the bitmask).
         if not core.lazy_tlb_mode:
-            bitmask |= 1 << core.id
+            bitmask |= core.bit
         state = LatrState(
             vrange=vrange,
             mm=mm,
@@ -317,6 +314,7 @@ class LatrCoherence(TLBCoherence):
             apply_pte_change()
             state.pte_applied = True
             yield from core.execute(self.local_invalidate(core, mm, vrange))
+            targets = self.kernel.machine.cores_in(remote)
             yield from self.ipi_round(core, mm, vrange, targets, ShootdownReason.FALLBACK)
             state.cpu_bitmask = 0
             state.completed_at = self.kernel.sim.now

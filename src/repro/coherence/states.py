@@ -32,6 +32,7 @@ import enum
 import itertools
 from typing import Callable, FrozenSet, Iterator, List, Optional
 
+from ..hw.cpumask import mask_ids, mask_of
 from ..mm.addr import VirtRange
 from ..mm.mmstruct import MmStruct
 from ..sim.engine import Signal
@@ -59,22 +60,7 @@ SOA_MIGRATION = 0x08
 
 def _as_mask(value) -> int:
     """Coerce a core-id collection (or an int bitmask) to an int bitmask."""
-    if isinstance(value, int):
-        return value
-    mask = 0
-    for core_id in value:
-        mask |= 1 << core_id
-    return mask
-
-
-def _cores_of(mask: int) -> FrozenSet[int]:
-    """The core ids whose bits are set in ``mask``."""
-    cores = []
-    while mask:
-        low = mask & -mask
-        cores.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(cores)
+    return value if isinstance(value, int) else mask_of(value)
 
 
 def _slot_key(state: "LatrState") -> int:
@@ -210,7 +196,7 @@ class LatrState:
     @property
     def cpu_bitmask(self) -> FrozenSet[int]:
         """Cores that still have to invalidate (a read-only snapshot)."""
-        return _cores_of(self._mask_get(0))
+        return frozenset(mask_ids(self._mask_get(0)))
 
     @cpu_bitmask.setter
     def cpu_bitmask(self, value) -> None:
@@ -220,7 +206,7 @@ class LatrState:
     def pulled_by(self) -> FrozenSet[int]:
         """Cores that already pulled this state's cachelines cross-socket
         (timing bookkeeping for the sweep cost model)."""
-        return _cores_of(self._mask_get(1))
+        return frozenset(mask_ids(self._mask_get(1)))
 
     @pulled_by.setter
     def pulled_by(self, value) -> None:

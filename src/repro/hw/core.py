@@ -11,10 +11,13 @@ experiments.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..sim.engine import Simulator, Timeout
 from .tlb import Tlb
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .machine import Machine
 
 #: Granularity at which executing tasks absorb stolen interrupt time.
 EXEC_QUANTUM_NS = 20_000
@@ -23,17 +26,17 @@ EXEC_QUANTUM_NS = 20_000
 class Core:
     """One CPU core: a TLB, an interrupt sink, and execution accounting."""
 
-    def __init__(self, core_id: int, socket: int, sim: Simulator, tlb: Tlb):
+    def __init__(self, core_id: int, socket: int, sim: Simulator, tlb: Tlb, machine: "Machine"):
         self.id = core_id
+        #: This core's bit in a CPU bitmask (see ``repro.hw.cpumask``).
+        self.bit = 1 << core_id
         self.socket = socket
         self.sim = sim
         self.tlb = tlb
+        #: The owning machine, which keeps the lazy-TLB idle set.
+        self.machine = machine
         #: Task currently scheduled here (set by the scheduler); None == idle.
         self.current_task = None
-        #: Lazy-TLB idle mode (Linux's idle-core optimization, paper 2.3):
-        #: while set, the core asks not to receive shootdown IPIs and will
-        #: full-flush when it wakes.
-        self.lazy_tlb_mode = False
         #: Deferred-flush flag: a shootdown was skipped while idle; flush on wake.
         self.needs_flush_on_wake = False
 
@@ -49,6 +52,14 @@ class Core:
     @property
     def idle(self) -> bool:
         return self.current_task is None
+
+    @property
+    def lazy_tlb_mode(self) -> bool:
+        """Lazy-TLB idle mode (Linux's idle-core optimization, paper 2.3):
+        while set, the core asks not to receive shootdown IPIs and will
+        full-flush when it wakes. Read from the machine's ``lazy_mask``,
+        the only copy of this state."""
+        return self.machine.lazy_mask & self.bit != 0
 
     def deliver_interrupt(self, handler_cost_ns: int) -> int:
         """An interrupt arrives now; returns the absolute completion time.
@@ -101,21 +112,23 @@ class Core:
     def enter_idle(self) -> None:
         """Scheduler hook: the core went idle (enters lazy-TLB mode)."""
         self.current_task = None
-        self.lazy_tlb_mode = True
+        self.machine.lazy_mask |= self.bit
 
-    def exit_idle(self, task) -> int:
+    def exit_idle(self, task) -> bool:
         """Scheduler hook: a task lands on an idle core.
 
-        Returns the TLB-flush cost owed if a shootdown was deferred while
-        idle (Linux lazy-TLB semantics: flush everything on wake).
+        If a shootdown skipped this core while it was idle, the whole TLB
+        is flushed now (Linux lazy-TLB semantics); returns whether that
+        happened. The flush is functional only: it charges no modelled
+        time to the waking task.
         """
         self.current_task = task
-        self.lazy_tlb_mode = False
+        self.machine.lazy_mask &= ~self.bit
         if self.needs_flush_on_wake:
             self.needs_flush_on_wake = False
             self.tlb.flush()
-            return 1
-        return 0
+            return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Core {self.id} socket={self.socket} idle={self.idle}>"

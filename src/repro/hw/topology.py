@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from .cpumask import popcount
 from .spec import MachineSpec
 
 
@@ -20,6 +21,10 @@ class Topology:
         self.spec = spec
         self._socket_of: List[int] = [spec.socket_of(c) for c in range(spec.total_cores)]
         self._hops = self._build_socket_hops(spec.sockets)
+        #: socket -> bitmask of its cores (see ``repro.hw.cpumask``).
+        self.socket_masks: List[int] = [0] * spec.sockets
+        for core_id, socket in enumerate(self._socket_of):
+            self.socket_masks[socket] |= 1 << core_id
 
     @staticmethod
     def _build_socket_hops(sockets: int) -> List[List[int]]:
@@ -48,25 +53,24 @@ class Topology:
         """QPI hops between two cores (0 when on the same socket)."""
         return self._hops[self._socket_of[core_a]][self._socket_of[core_b]]
 
-    def sharer_hop_counts(self, core_id: int, sharers) -> Dict[int, int]:
+    def sharer_hop_counts(self, core_id: int, mask: int) -> Dict[int, int]:
         """Histogram {hop distance: count} from ``core_id`` to every *other*
-        core in ``sharers``. Equivalent to counting ``core_hops(core_id, s)``
-        per sharer, but one pass over plain lists -- rmap bookkeeping sums
-        a per-sharer cost on every munmap and the per-call overhead shows."""
-        socket_of = self._socket_of
-        row = self._hops[socket_of[core_id]]
+        core in the bitmask ``mask``. Equivalent to counting
+        ``core_hops(core_id, s)`` per sharer, but one popcount per socket:
+        rmap bookkeeping sums a per-sharer cost on every munmap, and the
+        sharers can be every core of the machine."""
+        row = self._hops[self._socket_of[core_id]]
+        mask &= ~(1 << core_id)
         counts: Dict[int, int] = {}
-        for other in sharers:
-            if other != core_id:
-                hops = row[socket_of[other]]
-                counts[hops] = counts.get(hops, 0) + 1
+        for socket, socket_mask in enumerate(self.socket_masks):
+            on_socket = mask & socket_mask
+            if on_socket:
+                hops = row[socket]
+                counts[hops] = counts.get(hops, 0) + popcount(on_socket)
         return counts
 
     def socket_hops(self, socket_a: int, socket_b: int) -> int:
         return self._hops[socket_a][socket_b]
-
-    def cores_on_socket(self, socket: int) -> List[int]:
-        return [c for c in range(self.spec.total_cores) if self._socket_of[c] == socket]
 
     def max_hops(self) -> int:
         return max(max(row) for row in self._hops)

@@ -13,7 +13,7 @@ lazy-reclamation bookkeeping LATR adds (paper section 4.2):
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..sim.engine import Simulator
 from ..sim.resources import Lock
@@ -56,9 +56,10 @@ class MmStruct:
         )
         self.vmas = VmaSet()
         self.mmap_sem = Lock(sim, name=f"{self.name}.mmap_sem")
-        #: Cores that have run a thread of this mm since its last full flush
-        #: there; Linux computes shootdown targets from this (paper 4.1).
-        self.cpumask: Set[int] = set()
+        #: Bitmask of the cores that have run a thread of this mm since its
+        #: last full flush there (bit ``c`` == core ``c``); Linux computes
+        #: shootdown targets from this (paper 4.1).
+        self.cpumask = 0
         #: Tasks sharing this address space.
         self.users = 0
 
@@ -87,15 +88,10 @@ class MmStruct:
     # ---- cpumask management -------------------------------------------------
 
     def mark_running_on(self, core_id: int) -> None:
-        self.cpumask.add(core_id)
+        self.cpumask |= 1 << core_id
 
     def clear_cpu(self, core_id: int) -> None:
-        self.cpumask.discard(core_id)
-
-    def shootdown_targets(self, initiator_core_id: int) -> List[int]:
-        """Remote cores that may cache our translations (sorted for
-        determinism)."""
-        return sorted(c for c in self.cpumask if c != initiator_core_id)
+        self.cpumask &= ~(1 << core_id)
 
     # ---- virtual address allocation ----------------------------------------
 

@@ -51,7 +51,7 @@ class SystemSnapshot:
     """Opaque world state captured by :func:`snapshot_kernel`."""
 
     __slots__ = (
-        "engine", "stats", "rng", "cores", "llc", "frames", "page_cache",
+        "engine", "stats", "rng", "cores", "lazy_mask", "llc", "frames", "page_cache",
         "page_contents", "mms", "processes", "task_fields", "scheduler",
         "coherence", "autonuma", "swap", "monitor", "kernel_started",
         "ept_rmap",
@@ -181,7 +181,7 @@ def _mm_snapshot(mm) -> Tuple:
          [(v, v.range, v.prot, v.kind, v.file_key, v.file_offset, v.huge)
           for v in vmas]),
         (mm.mmap_sem.acquisitions, mm.mmap_sem.contended_acquisitions),
-        set(mm.cpumask), mm.users, mm._bump, list(mm._free_ranges),
+        mm.cpumask, mm.users, mm._bump, list(mm._free_ranges),
         list(mm.lazy_vranges), list(mm.lazy_frames), mm.map_generation,
         host_snap,
     )
@@ -236,7 +236,7 @@ def _mm_restore(mm, snap: Tuple) -> None:
     mm.mmap_sem._held = False
     mm.mmap_sem._waiters.clear()
     mm.mmap_sem.acquisitions, mm.mmap_sem.contended_acquisitions = sem_counts
-    mm.cpumask = set(cpumask)
+    mm.cpumask = cpumask
     mm.users = users
     mm._bump = bump
     mm._free_ranges = list(free_ranges)
@@ -380,7 +380,7 @@ def _coherence_snapshot(coh) -> Tuple[str, Any]:
     if isinstance(coh, LatrCoherence):
         return ("latr", _latr_snapshot(coh))
     if hasattr(coh, "_sharers"):  # ABIS
-        return ("sharers", {k: set(v) for k, v in coh._sharers.items()})
+        return ("sharers", dict(coh._sharers))
     if hasattr(coh, "_directory"):  # DiDi
         return ("directory", {k: set(v) for k, v in coh._directory.items()})
     # Linux / Barrelfish / UNITD keep no cross-operation state.
@@ -392,7 +392,7 @@ def _coherence_restore(coh, snap: Tuple[str, Any]) -> None:
     if kind == "latr":
         _latr_restore(coh, payload)
     elif kind == "sharers":
-        coh._sharers = {k: set(v) for k, v in payload.items()}
+        coh._sharers = dict(payload)
     elif kind == "directory":
         coh._directory = {k: set(v) for k, v in payload.items()}
 
@@ -422,12 +422,13 @@ def snapshot_kernel(kernel) -> SystemSnapshot:
         stats=kernel.stats.snapshot(),
         rng=kernel.rng.snapshot(),
         cores=[
-            (core.current_task, core.lazy_tlb_mode, core.needs_flush_on_wake,
+            (core.current_task, core.needs_flush_on_wake,
              core._pending_interrupt_ns, core._handler_busy_until,
              core.interrupts_received, core.interrupt_ns_total,
              core.busy_ns_total, _tlb_snapshot(core.tlb))
             for core in machine.cores
         ],
+        lazy_mask=machine.lazy_mask,
         llc=(machine.llc._pollution_lines, machine.llc._state_lines,
              machine.llc._window_start),
         frames=_frames_snapshot(kernel.frames),
@@ -472,10 +473,10 @@ def restore_kernel(kernel, snap: SystemSnapshot) -> None:
     kernel.stats.restore(snap.stats)
     kernel.rng.restore(snap.rng)
     machine = kernel.machine
-    for core, (task, lazy, needs_flush, pending_irq, busy_until, irq_n,
+    machine.lazy_mask = snap.lazy_mask
+    for core, (task, needs_flush, pending_irq, busy_until, irq_n,
                irq_ns, busy_ns, tlb_snap) in zip(machine.cores, snap.cores):
         core.current_task = task
-        core.lazy_tlb_mode = lazy
         core.needs_flush_on_wake = needs_flush
         core._pending_interrupt_ns = pending_irq
         core._handler_busy_until = busy_until

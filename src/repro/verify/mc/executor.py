@@ -40,6 +40,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...coherence import make_mechanism
 from ...coherence.latr import LatrCoherence
+from ...hw.cpumask import mask_ids
 from ...hw.machine import Machine
 from ...hw.spec import preset
 from ...kernel.autonuma import AutoNuma
@@ -481,7 +482,7 @@ class McExecutor:
         )
         mm_piece = (
             vmas,
-            sorted(mm.cpumask),
+            mask_ids(mm.cpumask),
             [(r.start, r.end) for r in mm.lazy_vranges],
             list(mm.lazy_frames),
             mm.map_generation,

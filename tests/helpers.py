@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.coherence.latr import STATE_LINES, LatrCoherence
 from repro.coherence.states import DEFAULT_QUEUE_DEPTH, STATE_BYTES, LatrFlag
@@ -34,6 +34,18 @@ def run_to_completion(system, gen, timeout_ms=2_000):
 def drain(system, ms=5):
     """Advance the simulation by ``ms`` simulated milliseconds."""
     system.sim.run(until=system.sim.now + ms * MSEC)
+
+
+def reference_targets(
+    cpumask: Set[int], idle: Set[int], initiator: int
+) -> Tuple[List[int], List[int]]:
+    """Shootdown target selection on core-id *sets*, the way Linux's
+    lazy-TLB rule reads (paper section 2.3): every core of ``cpumask``
+    except the initiator, in ascending id order, minus the ``idle``
+    (lazy-TLB) cores. Returns ``(targets, skipped)``: the skipped idle
+    cores are the ones that must full-flush on wake."""
+    remote = sorted(c for c in cpumask if c != initiator)
+    return [c for c in remote if c not in idle], [c for c in remote if c in idle]
 
 
 #: Mutated by :func:`marker_cell`; proves where a cell executed (inline

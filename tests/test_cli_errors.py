@@ -1,10 +1,12 @@
 """CLI error paths and plumbing edge cases for ``python -m repro``."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
-from repro.cli import main, perfbench_problem
+from repro.cli import _perfbench_smoke, main, perfbench_problem
 
 
 def _tables(text):
@@ -89,3 +91,43 @@ class TestPerfbenchStep:
     )
     def test_bad_run_fails(self, stdout, problem):
         assert perfbench_problem(stdout) == problem
+
+    def test_mismatched_digest_fails_naming_the_leg(self):
+        stdout = (
+            "digest apache-abis d614b75dcf5894ed\n"
+            "digest apache-latr 0000000000000000\n"
+            "digest apache-linux a4a405e4e2fa5696\n" + _result_line(True, 0) + "\n"
+        )
+        assert perfbench_problem(stdout) == (
+            "digest apache-latr is 0000000000000000, pinned f0f2d5f3b53688f5"
+        )
+
+    def test_unpinned_leg_fails(self):
+        stdout = "digest fleet-linux 1234\n" + _result_line(True, 0)
+        assert perfbench_problem(stdout) == "digest fleet-linux has no pinned value"
+
+    def test_smoke_fails_on_mismatched_digest(self, tmp_path, monkeypatch, capsys):
+        """The ``repro ci`` step itself, with a run.py that prints a correct
+        result under a wrong fleet digest."""
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "fleet-960c"}]}))
+        fake = tmp_path / "perfbench"
+        fake.mkdir()
+        (fake / "run.py").write_text(
+            "print('digest fleet-latr 484e37e1d115ea34')\n"
+            f"print({_result_line(True, 0)!r})\n"
+        )
+        monkeypatch.setattr(subprocess, "call", lambda *a, **k: 0)  # perfbench's own tests
+        assert _perfbench_smoke(str(tmp_path), dict(os.environ)) == 1
+        assert "perfbench fleet-960c: digest fleet-latr is 484e37e1d115ea34" in capsys.readouterr().err
+
+    def test_smoke_fails_when_a_pinned_leg_is_missing(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "mc-4c3p5o"}]}))
+        fake = tmp_path / "perfbench"
+        fake.mkdir()
+        (fake / "run.py").write_text(
+            "print('digest mc 4ba7aecc95797ac2')\n" f"print({_result_line(True, 0)!r})\n"
+        )
+        monkeypatch.setattr(subprocess, "call", lambda *a, **k: 0)
+        assert _perfbench_smoke(str(tmp_path), dict(os.environ)) == 1
+        err = capsys.readouterr().err
+        assert "no digest reported for apache-abis, apache-latr, apache-linux, fleet-latr" in err

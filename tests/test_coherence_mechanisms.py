@@ -141,7 +141,7 @@ class TestLinuxSpecifics:
         assert system.stats.counter("shootdown.idle_skipped").value == 1
         # On wake the core full-flushes, restoring safety.
         flushed = idle_core.exit_idle(tasks[3])
-        assert flushed == 1
+        assert flushed is True
         assert len(idle_core.tlb) == 0
 
     def test_no_remote_targets_no_ipis(self):

@@ -72,10 +72,15 @@ class TestCoreExecute:
         assert core.idle and core.lazy_tlb_mode
         core.needs_flush_on_wake = True
         core.tlb.fill(1, 5, __import__("repro.hw.tlb", fromlist=["TlbEntry"]).TlbEntry(pfn=1))
+        assert machine.lazy_mask == core.bit
         flushed = core.exit_idle(task=object())
-        assert flushed == 1
+        assert flushed is True
         assert len(core.tlb) == 0
         assert not core.lazy_tlb_mode
+        assert machine.lazy_mask == 0
+        # Nothing deferred: waking again flushes nothing.
+        core.enter_idle()
+        assert core.exit_idle(task=object()) is False
 
 
 class TestInterconnect:

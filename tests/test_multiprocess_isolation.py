@@ -147,8 +147,8 @@ class TestAbisSharersAcrossProcesses:
             rb = yield from kernel.syscalls.mmap(tb, cb, PAGE_SIZE, populate=True)
             # Same vpn, different mms: the tracked sharers must not merge.
             coherence = kernel.coherence
-            assert coherence._sharers.get((proc_a.mm.mm_id, ra.vpn_start)) == {0}
-            assert coherence._sharers.get((proc_b.mm.mm_id, rb.vpn_start)) == {2}
+            assert coherence._sharers.get((proc_a.mm.mm_id, ra.vpn_start)) == 1 << 0
+            assert coherence._sharers.get((proc_b.mm.mm_id, rb.vpn_start)) == 1 << 2
             yield from kernel.syscalls.munmap(ta, ca, ra)
             # A's shootdown consumed only A's tracking entry.
             assert (proc_a.mm.mm_id, ra.vpn_start) not in coherence._sharers

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import System, build_system
+from repro.hw.cpumask import mask_ids
 from repro.sim.engine import MSEC, SEC
 from repro.workloads.base import WorkloadResult, measured_window
 
@@ -59,7 +60,8 @@ class TestMachineAssembly:
         machine = system.machine
         assert len(machine.cores) == 120
         assert machine.core(119).socket == 7
-        assert len(machine.cores_on_node(3)) == 15
+        assert mask_ids(machine.topology.socket_masks[3]) == list(range(45, 60))
+        assert all(c.socket == 3 for c in machine.cores_in(machine.topology.socket_masks[3]))
 
     def test_tlb_capacity_from_spec(self):
         system = build_system("latr", cores=2)
